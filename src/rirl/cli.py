@@ -11,11 +11,10 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, process_pool
 from .dataio import DagSpec, kfold_split, load_csv, save_csv, synth_generate
 from .errors import (CheckError, ConfigError, DataError, EstimationError,
                      ExplorationError, PersistenceError, RirlError,
@@ -25,7 +24,7 @@ from .metrics import emit_plot, emit_tables
 from .noderepr import featurize_series, scaled_attrs_from_features, train_node_autoencoder
 from .persistence import (load_micro_causal, load_node_model,
                           save_micro_causal, save_node_model)
-from .relation import _encode_windows, train_micro_causal
+from .relation import predict_latent, train_micro_causal
 
 EXIT_CODES = (
     (ConfigError, 2),
@@ -37,15 +36,11 @@ EXIT_CODES = (
     (PersistenceError, 6),
 )
 
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
-
-
 def _add_config_flags(parser):
     parser.add_argument("--config", metavar="FILE",
                         help="flat key = value config file")
     for f in dataclasses.fields(RunConfig):
-        kind = f.type if isinstance(f.type, type) else _FIELD_TYPES[f.type]
-        parser.add_argument(f"--{f.name}", type=kind, default=None,
+        parser.add_argument(f"--{f.name}", type=f.type, default=None,
                             metavar=f.name.upper())
 
 
@@ -122,11 +117,12 @@ def cmd_init(args):
         raise ConfigError("init needs --out or models_path")
     os.makedirs(out, exist_ok=True)
     jobs = [(series, config) for series in dataset.values()]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_init_one, jobs))
-    else:
+    pool = process_pool(config.workers)
+    if pool is None:
         results = [_init_one(job) for job in jobs]
+    else:
+        with pool:
+            results = list(pool.map(_init_one, jobs))
     rows = []
     for series, (model, metrics) in zip(dataset.values(), results):
         save_node_model(model, os.path.join(out, f"{series.name}.json"))
@@ -286,12 +282,7 @@ def _reconstruction_plot(model, dataset, config, run_dir):
     self_hat, _ = em.decode_latent(em.encode(feats_eff[test_ts], cache=False),
                                    cache=False)
     self_vals = em.scaler.invert(scaled_attrs_from_features(self_hat, em.dim))
-    xs = [_encode_windows(model.cause_models[c],
-                          featurize_series(dataset[c], model.cause_models[c].scaler),
-                          test_ts, model.window_n, cache=False)
-          for c in model.causes]
-    v_hat = model.relation.forward(np.concatenate(xs, axis=1), cache=False)
-    rel_hat, _ = em.decode_latent(v_hat, cache=False)
+    rel_hat, _ = em.decode_latent(predict_latent(model, dataset, test_ts), cache=False)
     rel_vals = em.scaler.invert(scaled_attrs_from_features(rel_hat, em.dim))
 
     base = os.path.join(run_dir, f"plot_{effect}")

@@ -1,4 +1,4 @@
-"""Run configuration and deterministic random substreams.
+"""Run configuration, deterministic random substreams and worker pools.
 
 Every piece of randomness in the package is derived from one root seed
 through named substreams, so a run is reproducible from its config file
@@ -6,8 +6,11 @@ alone regardless of worker count or evaluation order.
 """
 
 import math
+import multiprocessing
+import os
 import zlib
-from dataclasses import dataclass, field, fields
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +22,6 @@ class RunConfig:
     latent_dim: int = 16
     num_keys: int = 4
     window_n: int = 10
-    window_m: int = 1
     lr: float = 1e-3
     epochs: int = 200
     explore_epochs: int = 40
@@ -41,23 +43,23 @@ class RunConfig:
 
     def validate(self):
         positive = [
-            "latent_dim", "num_keys", "window_n", "window_m", "lr", "epochs",
+            "latent_dim", "num_keys", "window_n", "lr", "epochs",
             "explore_epochs", "batch_size", "hidden_width", "folds",
             "max_rounds", "workers",
         ]
+        # NaN fails every comparison below, so finiteness comes first
+        for name in ("lr", "lambda_kld", "lambda_mask"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"config key {name!r} must be finite")
+        if math.isnan(self.gain_threshold) or self.gain_threshold == -math.inf:
+            raise ConfigError("gain_threshold must be a number or +inf")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"config key {name!r} must be positive")
         if self.lambda_kld < 0 or self.lambda_mask < 0:
             raise ConfigError("loss weights must be non-negative")
-        if self.window_m != 1:
-            raise ConfigError("window_m is fixed at 1; dynamic effect windows are not supported")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-
-    @classmethod
-    def field_types(cls):
-        return {f.name: f.type for f in fields(cls)}
 
     @classmethod
     def from_file(cls, path):
@@ -82,10 +84,7 @@ class RunConfig:
         for key, raw in values.items():
             if key not in declared:
                 raise ConfigError(f"unknown config key {key!r}")
-            kind = declared[key].type
-            conv = converters[{"int": int, "float": float, "str": str}.get(kind, str)] \
-                if isinstance(kind, str) else converters[kind]
-            kwargs[key] = conv(raw)
+            kwargs[key] = converters[declared[key].type](raw)
         return cls(**kwargs)
 
     def override(self, **values):
@@ -131,3 +130,15 @@ def substream(seed, *labels):
     for label in labels:
         words.append(zlib.crc32(str(label).encode("utf-8")))
     return np.random.default_rng(np.random.SeedSequence(words))
+
+
+def process_pool(workers, initializer=None, initargs=()):
+    """A process pool of `workers` processes, at most one per CPU this
+    process may run on; None when that leaves a single worker. Workers
+    are spawned, not forked, because the parent runs BLAS threads."""
+    size = min(workers, len(os.sched_getaffinity(0)))
+    if size <= 1:
+        return None
+    return ProcessPoolExecutor(max_workers=size,
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=initializer, initargs=initargs)

@@ -144,23 +144,6 @@ def reduce(e, keys):
     return out[0] if squeeze else out
 
 
-def reduce_single(e, keys):
-    """Single-conditioner, single-key reduction (no averaging).
-
-    Uses key 0 and conditioner row 0 (row 1 for column 0). Exists to
-    show what the averaging in reduce() buys under decoder noise.
-    """
-    grids, ks, L0, squeeze = _grid_view(e, keys)
-    key = ks[0]
-    g = grids[:, 0]
-    out = np.empty((g.shape[0], L0))
-    d0 = g[:, 0, 0]
-    out[:, 1:] = (g[:, 0, 1:] - t_fn(d0, key)[:, None]) * np.exp(-s_fn(d0, key))[:, None]
-    d1 = g[:, 1, 1]
-    out[:, 0] = (g[:, 1, 0] - t_fn(d1, key)) * np.exp(-s_fn(d1, key))
-    return out[0] if squeeze else out
-
-
 def reduce_backward(grad_out, e, keys):
     """Gradient of reduce() with respect to its expanded input.
 

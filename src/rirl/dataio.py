@@ -139,17 +139,6 @@ class DagSpec:
     def parents_of(self, name):
         return [e for e in self.edges if e.effect == name]
 
-    def descendants_of(self, name):
-        out = set()
-        frontier = [name]
-        while frontier:
-            cur = frontier.pop()
-            for e in self.edges:
-                if e.cause == cur and e.effect not in out:
-                    out.add(e.effect)
-                    frontier.append(e.effect)
-        return out
-
     def to_json(self, path):
         doc = {
             "seed": self.seed,
@@ -277,14 +266,6 @@ def scale_fit(series):
     return scale_fit_arrays(series.values, series.mask, series.name)
 
 
-def scale_apply(scaler, values):
-    return scaler.apply(values)
-
-
-def scale_invert(scaler, scaled):
-    return scaler.invert(scaled)
-
-
 def save_csv(dataset, path):
     names = list(dataset)
     steps = {s.steps for s in dataset.values()}
@@ -356,6 +337,10 @@ def load_csv(path, expect=None):
     if not rows:
         raise DataError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=float)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        lineno = int(np.argmin(finite)) + 2
+        raise DataError(f"{path}: line {lineno}: non-finite number (nan or inf)")
     months = np.array([d.month for d in dates], dtype=int)
     dataset = {}
     for name, idxs in groups.items():

@@ -37,14 +37,6 @@ class ExplorationError(RirlError):
     """DAG exploration cannot start or continue."""
 
 
-class RegistryError(RirlError):
-    """Stacking registry misuse, e.g. duplicate relation ids."""
-
-
-class RoutingError(RirlError):
-    """A routing path is broken or references unknown relations."""
-
-
 class PersistenceError(RirlError):
     """Model or table files could not be written or read back intact."""
 

@@ -9,18 +9,21 @@ selected, and that keep the edge list acyclic. The gain of an edge is
 with beta the already-selected parents of n and K the fold-averaged
 KLD between the relationally predicted and the true effect-latent
 distributions (K of an empty cause set is 0 by definition). The
-smallest delta wins, ties break lexicographically, and every cached
-evaluation into the freshly extended node is marked stale so it gets
-rebuilt before reuse.
+smallest delta wins and ties break lexicographically.
+
+Each round first computes the K values its candidates need that no
+earlier round computed, in candidate order, through an injected
+strength function, serially, or on a process pool, and caches them by
+(sorted causes, effect). An edge's evaluation is reused while its
+target's parent set is unchanged; once a selection extends that set,
+the evaluation is stale and is rebuilt from the cache.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import substream
+from .config import process_pool, substream
 from .dataio import kfold_split
 from .errors import ExplorationError
 from .noderepr import featurize_series
@@ -35,8 +38,6 @@ class CandidateEval:
     k_with: float
     k_without: float
     delta: float
-    round_no: int
-    stale: bool = False
 
 
 @dataclass
@@ -133,30 +134,27 @@ def _pool_eval(job):
     return _strength_eval(_POOL_CTX, list(causes), effect)
 
 
-def causal_strength(beta, n, data=None, models=None, config=None,
-                    strength_fn=None, k_cache=None, ctx=None):
+def _checked(key, value):
+    value = float(value)
+    if not np.isfinite(value):
+        raise ExplorationError(f"non-finite K for edge context {key[0]} -> {key[1]}")
+    return value
+
+
+def causal_strength(beta, n, data=None, models=None, config=None, ctx=None):
     """K(beta, n): 0 for an empty cause set, otherwise the fold-averaged
-    KLD between predicted and true effect-latent statistics."""
+    KLD between predicted and true effect-latent statistics. ctx, a
+    StrengthContext, saves re-encoding data with models under config."""
     beta = frozenset(beta)
     if not beta:
         return 0.0
     key = (tuple(sorted(beta)), n)
-    if k_cache is not None and key in k_cache:
-        return k_cache[key]
-    if strength_fn is not None:
-        value = float(strength_fn(beta, n))
-    else:
-        if ctx is None:
-            if data is None or models is None or config is None:
-                raise ExplorationError(
-                    f"no trained model for {key} and training is disabled")
-            ctx = StrengthContext(data, models, config)
-        value = _strength_eval(ctx, list(key[0]), n)
-    if not np.isfinite(value):
-        raise ExplorationError(f"non-finite K for edge context {key[0]} -> {n}")
-    if k_cache is not None:
-        k_cache[key] = value
-    return value
+    if ctx is None:
+        if data is None or models is None or config is None:
+            raise ExplorationError(
+                f"K{key} needs data, models and config, or a StrengthContext")
+        ctx = StrengthContext(data, models, config)
+    return _checked(key, _strength_eval(ctx, list(key[0]), n))
 
 
 def kld_gain(beta, p, n, strength):
@@ -185,13 +183,14 @@ def _would_cycle(edges, p, n):
 
 
 def explore(nodes, candidates, data=None, config=None, models=None,
-            strength_fn=None, workers=None):
+            strength_fn=None):
     """Algorithm: greedy edge selection by minimum KLD gain.
 
     candidates maps node -> allowed parent collection; nodes with no
     allowed parents seed the reachable set. strength_fn, when given,
     replaces trained strength evaluation (the tests replay published
-    strength tables through it).
+    strength tables through it); otherwise K values are fitted, on
+    config.workers processes when that is more than one.
     """
     nodes = list(nodes)
     for n, parents in candidates.items():
@@ -199,8 +198,6 @@ def explore(nodes, candidates, data=None, config=None, models=None,
             raise ExplorationError(f"candidate map allows self-loop at {n}")
     state = ExplorationState(nodes=nodes)
     state.reachable = {n for n in nodes if not candidates.get(n)}
-    if workers is None:
-        workers = config.workers if config is not None else 1
     ctx = None
     if strength_fn is None:
         if data is None or models is None or config is None:
@@ -208,18 +205,14 @@ def explore(nodes, candidates, data=None, config=None, models=None,
                                    "unless a strength function is injected")
         ctx = StrengthContext(data, models, config)
 
-    def strength(beta, n):
-        return causal_strength(beta, n, config=config, strength_fn=strength_fn,
-                               k_cache=state.k_cache, ctx=ctx)
+    def cached_k(cause_set, n):
+        return state.k_cache[(tuple(sorted(cause_set)), n)] if cause_set else 0.0
 
     max_rounds = config.max_rounds if config is not None else 64
     gain_threshold = config.gain_threshold if config is not None else float("inf")
     ever_candidate = set()
-    pool = None
+    pool = process_pool(config.workers, _pool_init, (ctx,)) if ctx is not None else None
     try:
-        if workers > 1 and strength_fn is None:
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_pool_init, initargs=(ctx,))
         for round_no in range(1, max_rounds + 1):
             selected_parents = {}
             for p, n in state.edges:
@@ -242,44 +235,39 @@ def explore(nodes, candidates, data=None, config=None, models=None,
                 state.stop_reason = "exhausted"
                 break
 
-            # figure out which strength keys are missing, fetch in parallel
-            if pool is not None:
-                missing = []
-                for p, n in cands:
-                    beta = frozenset(selected_parents.get(n, set()))
-                    for cause_set in (beta | {p}, beta):
-                        if not cause_set:
-                            continue
-                        key = (tuple(sorted(cause_set)), n)
-                        if key not in state.k_cache and key not in missing:
-                            missing.append(key)
-                results = pool.map(_pool_eval, missing)
-                for key, value in zip(missing, results):
-                    if not np.isfinite(value):
-                        raise ExplorationError(
-                            f"non-finite K for edge context {key[0]} -> {key[1]}")
-                    state.k_cache[key] = value
+            missing = []
+            for p, n in cands:
+                beta = frozenset(selected_parents.get(n, set()))
+                for cause_set in (beta, beta | {p}):
+                    key = (tuple(sorted(cause_set)), n)
+                    if cause_set and key not in state.k_cache and key not in missing:
+                        missing.append(key)
+            if strength_fn is not None:
+                values = [strength_fn(frozenset(causes), n) for causes, n in missing]
+            elif pool is not None:
+                values = pool.map(_pool_eval, missing)
+            else:
+                values = [_strength_eval(ctx, list(causes), n) for causes, n in missing]
+            for key, value in zip(missing, values):
+                state.k_cache[key] = _checked(key, value)
 
             entries = []
             for p, n in cands:
                 beta = frozenset(selected_parents.get(n, set()))
                 cached = state.eval_cache.get((p, n))
-                if cached is not None and not cached.stale and cached.beta == beta:
+                reused = cached is not None and cached.beta == beta
+                if reused:
                     ev = cached
                     state.evals_reused += 1
-                    reused = True
                 else:
-                    if cached is not None and cached.stale:
+                    if cached is not None:
                         state.stale_reuses += 1
-                    k_without = strength(beta, n)
-                    k_with = strength(beta | {p}, n)
+                    k_without, k_with = cached_k(beta, n), cached_k(beta | {p}, n)
                     ev = CandidateEval(edge=(p, n), beta=beta, k_with=k_with,
                                        k_without=k_without,
-                                       delta=k_with - k_without,
-                                       round_no=round_no)
+                                       delta=k_with - k_without)
                     state.eval_cache[(p, n)] = ev
                     state.evals_computed += 1
-                    reused = False
                 entries.append(RoundEntry(
                     edge=(p, n), delta=ev.delta, k_with=ev.k_with,
                     k_without=ev.k_without, new=(p, n) not in ever_candidate,
@@ -300,9 +288,6 @@ def explore(nodes, candidates, data=None, config=None, models=None,
             for entry in entries:
                 if entry.edge[1] == sel_n and entry.edge != best.edge:
                     entry.trimmed = True
-            for edge, ev in state.eval_cache.items():
-                if edge[1] == sel_n:
-                    ev.stale = True
             state.rounds.append(RoundRecord(round_no=round_no, entries=entries,
                                             selected=best.edge))
         else:

@@ -113,39 +113,6 @@ class DenseLayer:
         return [self.gW, self.gb]
 
 
-class MLP:
-    """A plain stack of DenseLayers sharing the forward/backward protocol."""
-
-    def __init__(self, layers):
-        self.layers = list(layers)
-
-    def forward(self, x, cache=True):
-        for layer in self.layers:
-            x = layer.forward(x, cache=cache)
-        return x
-
-    def backward(self, grad_out):
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
-
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
-
-    def gradients(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.gradients())
-        return out
-
-
 def _promote(x):
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
@@ -153,11 +120,6 @@ def _promote(x):
     if arr.ndim == 2:
         return arr, False
     raise ShapeError(f"expected 1-D or 2-D array, got ndim={arr.ndim}")
-
-
-def dense_forward(layer, x):
-    """Functional wrapper over DenseLayer.forward (no caching)."""
-    return layer.forward(x, cache=False)
 
 
 def mse_loss(pred, target):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import substream
 from .coupling import expand_batch, make_keys, reduce, reduce_backward
-from .dataio import Scaler, kfold_split, scale_fit
-from .errors import ConfigError, DataError, ShapeError, TrainingError
+from .dataio import kfold_split, scale_fit
+from .errors import ConfigError, ShapeError, TrainingError
 from .metrics import nse
 from .nn import (Adam, DenseLayer, LossReport, bce_grad, bce_loss, mse_grad,
                  mse_loss)
@@ -32,26 +32,26 @@ def _slot_map(d):
 
 
 def featurize(raw, month, scaler=None):
+    """Feature row(s): scaled attributes tiled into 12 slots, then the
+    month one-hot. raw is one attribute vector with one month, or a
+    (T, d) batch with T months."""
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1:
-        raise ShapeError("featurize expects a single attribute vector")
-    sel = _slot_map(raw.size)
-    if not 1 <= int(month) <= 12:
-        raise ConfigError(f"month must be 1..12, got {month}")
+    months = np.asarray(month, dtype=int)
+    if raw.ndim not in (1, 2) or months.shape != raw.shape[:-1]:
+        raise ShapeError("featurize expects one attribute vector and one month, "
+                         "or a (T, d) batch and T months")
+    sel = _slot_map(raw.shape[-1])
+    if np.any((months < 1) | (months > 12)):
+        raise ConfigError(f"month must be 1..12, got {months.min()}..{months.max()}")
     scaled = scaler.apply(raw) if scaler is not None else raw
-    onehot = np.zeros(SLOTS)
-    onehot[int(month) - 1] = 1.0
-    return np.concatenate([scaled[sel], onehot])
+    return np.concatenate([scaled[..., sel], np.eye(SLOTS)[months - 1]], axis=-1)
 
 
 def featurize_series(series, scaler=None):
-    """(T, 24) feature matrix for a whole NodeSeries."""
-    scaler = scaler if scaler is not None else series.scaler
-    scaled = scaler.apply(series.values) if scaler is not None else series.values
-    sel = _slot_map(series.dim)
-    onehot = np.zeros((series.steps, SLOTS))
-    onehot[np.arange(series.steps), series.months - 1] = 1.0
-    return np.concatenate([scaled[:, sel], onehot], axis=1)
+    """(T, 24) feature matrix for a whole NodeSeries; scaler defaults to
+    the series' own."""
+    return featurize(series.values, series.months,
+                     scaler if scaler is not None else series.scaler)
 
 
 def defeaturize(feature, d, scaler=None):
@@ -187,14 +187,6 @@ class NodeAutoencoder:
         return report, self.gradients()
 
 
-def encode_node(model, feature):
-    feature = np.asarray(feature, dtype=float)
-    width = feature.shape[-1] if feature.ndim else 0
-    if width != FEATURE_LEN:
-        raise ShapeError(f"encode_node: feature width {width} != {FEATURE_LEN}")
-    return model.encode(feature, cache=False)
-
-
 def decode_node(model, latent):
     """Decode to engineering units: (values with sub-threshold attributes
     zeroed, mask probabilities)."""
@@ -210,23 +202,6 @@ def decode_node(model, latent):
     return values, mask_prob
 
 
-def _lenient_scaler(series):
-    """scale_fit, except constant attributes fall back to (mean, 1.0)
-    so a constant nonzero node stays trainable."""
-    d = series.dim
-    mean = np.zeros(d)
-    std = np.ones(d)
-    for a in range(d):
-        sel = series.values[series.mask[:, a] == 1, a]
-        if sel.size == 0:
-            continue
-        mean[a] = sel.mean()
-        s = sel.std()
-        if s > 1e-12:
-            std[a] = s
-    return Scaler(mean=mean, std=std)
-
-
 def train_node_autoencoder(series, config, holdout_fold=None):
     """Fit one node's autoencoder; returns (model, metrics dict).
 
@@ -240,10 +215,7 @@ def train_node_autoencoder(series, config, holdout_fold=None):
         raise TrainingError(f"node {series.name}: series is degenerate (all zero)")
     if np.all(series.values.std(axis=0) < 1e-12) and np.all(np.abs(series.values) < 1e-12):
         raise TrainingError(f"node {series.name}: series is degenerate (zero variance)")
-    try:
-        scaler = series.scaler if series.scaler is not None else scale_fit(series)
-    except DataError:
-        scaler = _lenient_scaler(series)
+    scaler = series.scaler if series.scaler is not None else scale_fit(series)
     feats = featurize_series(series, scaler)
     T = series.steps
     plan = kfold_split(T, config.folds)

@@ -1,8 +1,10 @@
 """Relation bridges between cause and effect latents.
 
-A relation maps the concatenation of windowed cause latents (window_n
-steps per cause, window_m fixed at 1 on the effect side) to the effect
-node's latent. Training interleaves three moves per epoch:
+A relation maps the concatenation of windowed cause latents (the
+window_n steps before t, per cause) to the effect node's latent at t.
+predict_latent is the one path from data to that prediction: each
+cause featurized with its own model's stored scaler, its windows
+encoded, and the bridge run. Training interleaves three moves per epoch:
 
   1. end-to-end: cause encoders + relation + effect decoder fit the
      decoded effect observation, with a Gaussian KLD penalty pulling
@@ -12,19 +14,17 @@ node's latent. Training interleaves three moves per epoch:
 
 Steps 2 and 3 carry a snapshot-and-revert guard so a batch update that
 would worsen that batch's self-reconstruction is rolled back; reverts
-are counted, not hidden. Stacking registers trained relations at their
-effect node; routing feeds data through chains of them.
+are counted, not hidden.
 """
 
 import copy
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import substream
-from .dataio import kfold_split
-from .errors import DataError, RegistryError, RoutingError, TrainingError
+from .dataio import NodeSeries, kfold_split
+from .errors import DataError, TrainingError
 from .metrics import MetricRow, nse
 from .nn import Adam, DenseLayer, LossReport, bce_grad, bce_loss, mse_grad, mse_loss
 from .noderepr import (decode_node, featurize_series, scaled_attrs_from_features)
@@ -46,10 +46,6 @@ class RelationModel:
         label = f"rel[{'+'.join(self.causes)}->{effect}]"
         self.l1 = DenseLayer(self.in_dim, hidden, "tanh", rng, name=f"{label}.l1")
         self.l2 = DenseLayer(hidden, latent_dim, "identity", rng, name=f"{label}.l2")
-
-    @property
-    def relation_id(self):
-        return (self.causes, self.effect)
 
     def forward(self, x, cache=True):
         return self.l2.forward(self.l1.forward(x, cache=cache), cache=cache)
@@ -78,10 +74,6 @@ class MicroCausalModel:
     metrics: MetricRow = None
     training_log: dict = None
 
-    @property
-    def relation_id(self):
-        return (self.causes, self.relation.effect)
-
 
 def _window_offsets(ts, n):
     return (np.asarray(ts)[:, None] - n + np.arange(n)[None, :]).ravel()
@@ -90,6 +82,18 @@ def _window_offsets(ts, n):
 def _encode_windows(model, feats, ts, n, cache):
     lat = model.encode(feats[_window_offsets(ts, n)], cache=cache)
     return lat.reshape(len(ts), n * model.latent_dim)
+
+
+def predict_latent(model, dataset, ts):
+    """The bridge's effect latent at each step in ts, from the window_n
+    steps before it of every cause, featurized with that cause model's
+    stored scaler."""
+    xs = []
+    for c in model.causes:
+        cm = model.cause_models[c]
+        feats = featurize_series(dataset[c], cm.scaler)
+        xs.append(_encode_windows(cm, feats, ts, model.window_n, cache=False))
+    return model.relation.forward(np.concatenate(xs, axis=1), cache=False)
 
 
 def _self_loss(model, feats, mask_t, lambda_mask):
@@ -140,7 +144,8 @@ def train_micro_causal(causes, effect, dataset, config, models):
 
     cause_models = {c: copy.deepcopy(models[c]) for c in causes}
     effect_model = copy.deepcopy(models[effect])
-    feats = {name: featurize_series(dataset[name]) for name in causes + [effect]}
+    feats = {name: featurize_series(dataset[name], models[name].scaler)
+             for name in causes + [effect]}
     eff_feats = feats[effect]
     eff_mask = eff_series.mask.astype(float)
 
@@ -233,24 +238,22 @@ def train_micro_causal(causes, effect, dataset, config, models):
     model = MicroCausalModel(causes=tuple(causes), cause_models=cause_models,
                              relation=relation, effect_model=effect_model,
                              window_n=n, training_log=log)
-    model.metrics = evaluate_micro_causal(model, dataset, feats, test_ts, config)
+    model.metrics = evaluate_micro_causal(model, dataset, eff_feats, test_ts)
     return model
 
 
-def evaluate_micro_causal(model, dataset, feats, test_ts, config):
-    n = model.window_n
+def evaluate_micro_causal(model, dataset, eff_feats, test_ts):
     effect = model.relation.effect
-    xs = [_encode_windows(model.cause_models[c], feats[c], test_ts, n, cache=False)
-          for c in model.causes]
-    v_hat = model.relation.forward(np.concatenate(xs, axis=1), cache=False)
-    v_true = model.effect_model.encode(feats[effect][test_ts], cache=False)
+    em = model.effect_model
+    v_hat = predict_latent(model, dataset, test_ts)
+    v_true = em.encode(eff_feats[test_ts], cache=False)
     latent_kld = gaussian_kld(gaussian_stats(v_hat), gaussian_stats(v_true))
-    feat_hat, mask_prob = model.effect_model.decode_latent(v_hat, cache=False)
+    feat_hat, mask_prob = em.decode_latent(v_hat, cache=False)
     eff_series = dataset[effect]
-    scaled_true = model.effect_model.scaler.apply(eff_series.values[test_ts])
-    scaled_hat = scaled_attrs_from_features(feat_hat, model.effect_model.dim)
+    scaled_true = em.scaler.apply(eff_series.values[test_ts])
+    scaled_hat = scaled_attrs_from_features(feat_hat, em.dim)
     rmse_scaled = float(np.sqrt(np.mean((scaled_hat - scaled_true) ** 2)))
-    values_hat = model.effect_model.scaler.invert(scaled_hat) * (mask_prob > 0.5)
+    values_hat = em.scaler.invert(scaled_hat) * (mask_prob > 0.5)
     rmse_unscaled = float(np.sqrt(np.mean((values_hat - eff_series.values[test_ts]) ** 2)))
     mask_bce = bce_loss(mask_prob, eff_series.mask[test_ts].astype(float))
     row = MetricRow(effect=effect, causes=",".join(model.causes),
@@ -261,14 +264,9 @@ def evaluate_micro_causal(model, dataset, feats, test_ts, config):
 
 def micro_causal_nse(model, dataset, test_ts):
     """Mean held-out NSE of the decoded effect prediction, unscaled."""
-    effect = model.relation.effect
-    feats = {name: featurize_series(dataset[name])
-             for name in list(model.causes) + [effect]}
-    xs = [_encode_windows(model.cause_models[c], feats[c], test_ts,
-                          model.window_n, cache=False) for c in model.causes]
-    v_hat = model.relation.forward(np.concatenate(xs, axis=1), cache=False)
-    values_hat, _ = decode_node(model.effect_model, v_hat)
-    obs = dataset[effect].values[test_ts]
+    values_hat, _ = decode_node(model.effect_model,
+                                predict_latent(model, dataset, test_ts))
+    obs = dataset[model.relation.effect].values[test_ts]
     scores = []
     for a in range(obs.shape[1]):
         if obs[:, a].std() > 1e-12:
@@ -280,10 +278,10 @@ def relation_forward(model, cause_windows):
     """(predicted effect latent, decoded effect values) for one window.
 
     cause_windows maps each cause name to (values, months) with values
-    shaped (window_n, cause dim).
+    shaped (window_n, cause dim) and months in 1..12.
     """
     n = model.window_n
-    parts = []
+    windows = {}
     for c in model.causes:
         if c not in cause_windows:
             raise DataError(f"relation_forward: missing window for cause {c!r}")
@@ -297,20 +295,14 @@ def relation_forward(model, cause_windows):
                 f"values {vals.shape}, months {months.shape}, need ({n}, {cm.dim})")
         if not np.all(np.isfinite(vals)):
             raise DataError(f"relation_forward: non-finite values in window for {c!r}")
-        feats = _featurize_window(vals, months, cm.scaler)
-        parts.append(cm.encode(feats, cache=False).reshape(-1))
-    v_hat = model.relation.forward(np.concatenate(parts), cache=False)
+        if np.any((months < 1) | (months > 12)):
+            raise DataError(f"relation_forward: month outside 1..12 in window for {c!r}")
+        windows[c] = NodeSeries(name=c, values=vals, mask=(vals != 0.0).astype(np.uint8),
+                                months=months, dates=[])
+    # the window's n steps precede step n
+    v_hat = predict_latent(model, windows, np.array([n]))[0]
     values, _mask = decode_node(model.effect_model, v_hat)
     return v_hat, values
-
-
-def _featurize_window(vals, months, scaler):
-    d = vals.shape[1]
-    scaled = scaler.apply(vals) if scaler is not None else vals
-    sel = np.arange(12) % d
-    onehot = np.zeros((vals.shape[0], 12))
-    onehot[np.arange(vals.shape[0]), months - 1] = 1.0
-    return np.concatenate([scaled[:, sel], onehot], axis=1)
 
 
 def train_relation_frozen(x_train, v_train, config, rng, causes=("x",), effect="y"):
@@ -344,78 +336,3 @@ def train_relation_frozen(x_train, v_train, config, rng, causes=("x",), effect="
             relation.backward(grad)
             adam.step(relation.gradients())
     return relation
-
-
-@dataclass
-class StackState:
-    latent_dim: int
-    rank_estimates: dict = field(default_factory=dict)
-    registry: dict = field(default_factory=dict)
-
-    def components(self, effect):
-        return list(self.registry.get(effect, []))
-
-
-def estimate_rank(series):
-    return int(np.linalg.matrix_rank(series.values))
-
-
-def stack_component(state, effect, relation_id):
-    """Register a trained relation at its effect node (tau = arrival order)."""
-    comps = state.registry.setdefault(effect, [])
-    if relation_id in comps:
-        raise RegistryError(f"relation {relation_id} already stacked at {effect}")
-    comps.append(relation_id)
-    bound = state.rank_estimates.get(effect, 0) + len(comps)
-    if state.latent_dim <= bound:
-        warnings.warn(
-            f"latent dim {state.latent_dim} <= rank+components {bound} at node "
-            f"{effect}; representations may not disentangle", stacklevel=2)
-    return state
-
-
-@dataclass
-class RoutingSpec:
-    path: list
-    input_selector: str = "raw"      # raw | latent
-    output_selector: str = "decoded"  # decoded | latent
-
-
-def route(spec, window, models):
-    """Drive data through a chain of trained relations.
-
-    models maps relation_id to MicroCausalModel. Multi-hop paths tile
-    the single-step intermediate latent across the next cause window,
-    which is the declared limit of this routing scheme.
-    """
-    if not spec.path:
-        raise RoutingError("route: empty path")
-    chain = []
-    for rid in spec.path:
-        if rid not in models:
-            raise RoutingError(f"route: relation {rid} is not registered")
-        chain.append(models[rid])
-    for up, down in zip(chain, chain[1:]):
-        if down.causes != (up.relation.effect,):
-            raise RoutingError(
-                f"route: broken chain, {down.relation_id} does not consume "
-                f"{up.relation.effect!r} alone")
-    first = chain[0]
-    if spec.input_selector == "raw":
-        v = relation_forward(first, window)[0]
-    elif spec.input_selector == "latent":
-        lat = np.asarray(window, dtype=float)
-        if lat.shape != (first.relation.latent_dim * first.window_n * len(first.causes),):
-            raise RoutingError("route: latent input has the wrong width")
-        v = first.relation.forward(lat, cache=False)
-    else:
-        raise RoutingError(f"route: unknown input selector {spec.input_selector!r}")
-    for hop in chain[1:]:
-        x = np.tile(v, hop.window_n)
-        v = hop.relation.forward(x, cache=False)
-    if spec.output_selector == "latent":
-        return v
-    if spec.output_selector == "decoded":
-        values, _mask = decode_node(chain[-1].effect_model, v)
-        return values
-    raise RoutingError(f"route: unknown output selector {spec.output_selector!r}")

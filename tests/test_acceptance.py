@@ -140,7 +140,7 @@ def _train_registry(data, cfg):
 def test_criterion_07_greedy_matches_oracle():
     cfg = RunConfig(latent_dim=6, num_keys=1, hidden_width=64, epochs=14,
                     explore_epochs=24, batch_size=64, folds=4, max_rounds=1,
-                    lambda_kld=0.02, lr=3e-3)
+                    workers=2, lambda_kld=0.02, lr=3e-3)
     candidates = {"B": ["A", "C"], "C": ["A", "B"]}
     wins = 0
     for i in range(10):
@@ -156,7 +156,7 @@ def test_criterion_07_greedy_matches_oracle():
         oracle = min((causal_strength(frozenset({p}), n, ctx=ctx), (p, n))
                      for p, n in [("A", "B"), ("A", "C")])[1]
         edges, _ = explore(list(data), candidates, data=data, config=cfg,
-                           models=models, workers=2)
+                           models=models)
         wins += edges[:1] == [oracle]
     record(wins == 10, 7, "greedy vs oracle",
            f"first selection matched exhaustive argmin on {wins}/10 seeds")

@@ -166,6 +166,25 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_numbers_fail_at_load(workspace, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("lr = nan\n")
+    assert main(["init", "--data", workspace["data"], "--out",
+                 str(tmp_path / "m"), "--config", str(cfg)]) == 2
+    # configs written before window_m was dropped are refused, not misread
+    old = tmp_path / "old.cfg"
+    old.write_text("window_m = 1\n")
+    assert main(["init", "--data", workspace["data"], "--out",
+                 str(tmp_path / "m"), "--config", str(old)]) == 2
+    lines = open(workspace["data"]).read().split("\n")
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines))
+    assert main(["init", "--data", str(bad), "--out", str(tmp_path / "m")]
+                + TINY_FLAGS) == 3
+    assert not os.path.exists(tmp_path / "m")
+
+
 def test_training_errors_exit_4(workspace, tmp_path):
     short = str(tmp_path / "short.csv")
     assert main(["synth", workspace["spec"], "--days", "75", "--out", short,

@@ -13,7 +13,6 @@ def test_defaults_validate_and_hold_documented_values():
     assert cfg.latent_dim == 16
     assert cfg.num_keys == 4
     assert cfg.window_n == 10
-    assert cfg.window_m == 1
     assert cfg.gain_threshold == math.inf
     assert cfg.workers == 1
 
@@ -28,8 +27,13 @@ def test_defaults_validate_and_hold_documented_values():
     ("hidden_width", 0),
     ("lambda_kld", -0.5),
     ("lambda_mask", -1.0),
-    ("window_m", 2),
     ("seed", -3),
+    ("lr", math.nan),
+    ("lr", math.inf),
+    ("lambda_kld", math.nan),
+    ("lambda_mask", math.inf),
+    ("gain_threshold", math.nan),
+    ("gain_threshold", -math.inf),
 ])
 def test_validate_rejects_bad_values(field, value):
     # __post_init__ validates, so the constructor itself refuses
@@ -62,6 +66,16 @@ def test_from_file_rejects_unknown_key_and_bad_int(tmp_path):
     bad_int.write_text("epochs = 2.5\n")
     with pytest.raises(ConfigError):
         RunConfig.from_file(str(bad_int))
+
+
+def test_from_file_rejects_non_finite_numbers(tmp_path):
+    # NaN fails every comparison, so it must be refused explicitly
+    for line in ("lr = nan", "lambda_kld = nan", "lambda_mask = inf",
+                 "gain_threshold = nan"):
+        path = tmp_path / "nan.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="finite|number or"):
+            RunConfig.from_file(str(path))
 
 
 def test_roundtrip_through_file(tmp_path):

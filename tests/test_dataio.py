@@ -224,6 +224,8 @@ def test_save_csv_rejects_ragged_datasets(tmp_path):
     ("date,A.a0\nyesterday,1.0\n", "bad date"),
     ("date,A.a0\n2000-01-01,1.0\n2000-01-01,2.0\n", "duplicate date"),
     ("date,A.a0\n2000-01-01,one\n", "unparseable number"),
+    ("date,A.a0\n2000-01-01,1.0\n2000-01-02,nan\n", "line 3: non-finite"),
+    ("date,A.a0\n2000-01-01,inf\n", "line 2: non-finite"),
     ("date,A.a0\n", "no data rows"),
 ])
 def test_load_csv_reports_each_corruption(tmp_path, text, message):

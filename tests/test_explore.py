@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 import replay_table as table
-from conftest import assert_close
+from conftest import TINY_CONFIG, assert_close
 
 from rirl.config import RunConfig
-from rirl.dataio import NodeSeries
+from rirl.dataio import DagSpec, EdgeDef, NodeDef, NodeSeries, synth_generate
 from rirl.errors import ExplorationError
 from rirl.explore import (ExplorationState, StrengthContext, _would_cycle,
                           causal_strength, emit_round_log, explore, kld_gain)
+from rirl.noderepr import train_node_autoencoder
 
 GAIN_TOL = 5e-13     # float64 arithmetic on 4-decimal table literals
 
@@ -23,9 +24,15 @@ def replay():
 # ------------------------------------------------------ strength calls
 
 def test_empty_cause_set_scores_zero_without_consulting_the_table():
-    def explode(beta, n):
-        raise AssertionError("must not be called for an empty cause set")
-    assert causal_strength([], "C", strength_fn=explode) == 0.0
+    def no_empty_sets(beta, n):
+        assert beta, "must not be called for an empty cause set"
+        return 1.5
+    _, state = explore(["A", "C"], {"C": ["A"]}, strength_fn=no_empty_sets,
+                       config=RunConfig(max_rounds=1))
+    entry = state.rounds[0].entries[0]
+    assert entry.k_without == 0.0 and entry.delta == 1.5
+    assert list(state.k_cache) == [(("A",), "C")]
+    assert causal_strength([], "C") == 0.0
 
 
 def test_cause_sets_are_cached_order_insensitively():
@@ -33,34 +40,40 @@ def test_cause_sets_are_cached_order_insensitively():
 
     def counting(beta, n):
         calls.append((tuple(sorted(beta)), n))
-        return 1.0
+        return float(len(beta))
 
-    cache = {}
-    causal_strength(["B", "A"], "C", strength_fn=counting, k_cache=cache)
-    causal_strength(["A", "B"], "C", strength_fn=counting, k_cache=cache)
-    causal_strength({"A", "B"}, "C", strength_fn=counting, k_cache=cache)
-    assert calls == [(("A", "B"), "C")]
-    assert cache == {(("A", "B"), "C"): 1.0}
+    # unsorted parent lists; round 2 needs the two-cause set {A, B}
+    _, state = explore(["A", "B", "C"], {"C": ["B", "A"]},
+                       strength_fn=counting, config=RunConfig(max_rounds=2))
+    assert calls == [(("A",), "C"), (("B",), "C"), (("A", "B"), "C")]
+    assert state.k_cache == {(("A",), "C"): 1.0, (("B",), "C"): 1.0,
+                             (("A", "B"), "C"): 2.0}
 
 
 def test_non_finite_strength_is_refused():
     with pytest.raises(ExplorationError, match="non-finite K"):
-        causal_strength(["A"], "C", strength_fn=lambda b, n: float("nan"))
+        explore(["A", "C"], {"C": ["A"]}, strength_fn=lambda b, n: float("nan"),
+                config=RunConfig())
 
 
 def test_strength_without_models_or_table_is_an_error():
-    with pytest.raises(ExplorationError, match="training is disabled"):
+    with pytest.raises(ExplorationError, match="needs data, models and config"):
         causal_strength(["A"], "C")
 
 
-def test_gain_is_a_strength_difference():
-    gain = kld_gain({"C", "D"}, "E", "G",
-                    lambda b, n: causal_strength(b, n,
-                                                 strength_fn=table.strength_fn))
+def test_gain_is_a_strength_difference(replay):
+    gain = kld_gain({"C", "D"}, "E", "G", table.strength_fn)
     # adding E to {C, D} -> G lowers K: a negative gain is meaningful
     assert gain == table.STRENGTHS[(("C", "D", "E"), "G")] - \
         table.STRENGTHS[(("C", "D"), "G")]
     assert abs(gain - (-5.9191)) <= GAIN_TOL
+    # explore scores every edge the same way, from the strengths it cached
+    _, state = replay
+    for rec in state.rounds:
+        for e in rec.entries:
+            assert e.delta == e.k_with - e.k_without
+    pick = next(e for e in state.rounds[10].entries if e.selected)
+    assert pick.edge == ("E", "G") and pick.delta == gain
 
 
 def test_cycle_probe_follows_directed_paths():
@@ -203,6 +216,26 @@ def test_equal_gains_break_ties_lexicographically():
                        strength_fn=lambda b, n: 2.0,
                        config=RunConfig(max_rounds=1))
     assert edges == [("A", "C")]
+
+
+# ------------------------------------------------------------ workers
+
+def test_worker_count_does_not_change_results():
+    spec = DagSpec(nodes=[NodeDef("A", 2), NodeDef("B", 2, amplitude=0.4),
+                          NodeDef("C", 2, amplitude=0.5)],
+                   edges=[EdgeDef("A", "B", 1, lag=2),
+                          EdgeDef("B", "C", 2, lag=3)], seed=9)
+    data = synth_generate(spec, 300, 9)
+    cfg = RunConfig(**dict(TINY_CONFIG, max_rounds=2))
+    models = {name: train_node_autoencoder(series, cfg)[0]
+              for name, series in data.items()}
+    runs = []
+    for workers in (1, 2):
+        cfg.override(workers=workers)
+        _, state = explore(list(data), {"B": ["A", "C"], "C": ["A", "B"]},
+                           data=data, config=cfg, models=models)
+        runs.append((emit_round_log(state).csv_text, state.k_cache))
+    assert runs[0] == runs[1]
 
 
 # ------------------------------------------------------------ context

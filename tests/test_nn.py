@@ -6,16 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rirl.errors import ConfigError, ShapeError, TrainingError
-from rirl.nn import (ACTIVATIONS, Adam, DenseLayer, LossReport, MLP,
+from rirl.nn import (ACTIVATIONS, Adam, DenseLayer, LossReport,
                      OptimizerState, PROB_CLAMP, adam_step, bce_grad,
-                     bce_loss, clamp_prob, dense_forward, grad_check,
-                     mse_grad, mse_loss)
+                     bce_loss, clamp_prob, grad_check, mse_grad, mse_loss)
+from rirl.relation import RelationModel
 
 
 def small_mlp(seed=5):
-    rng = np.random.default_rng(seed)
-    return MLP([DenseLayer(6, 8, "tanh", rng, name="h"),
-                DenseLayer(8, 3, "identity", rng, name="out")])
+    """6 -> 8 tanh -> 3 identity."""
+    return RelationModel(("x",), "y", window_n=1, latent_dim=3, hidden=8,
+                         rng=np.random.default_rng(seed), in_dim=6)
 
 
 def test_dense_forward_matches_hand_matmul():
@@ -186,13 +186,6 @@ def test_mse_grad_is_gradient_of_mse():
 def test_loss_report_total_arithmetic():
     rep = LossReport.build(1.0, 2.0, 3.0, lambda_mask=0.5, lambda_kld=0.1)
     assert rep.total == pytest.approx(1.0 + 0.5 * 2.0 + 0.1 * 3.0, abs=0.0)
-
-
-def test_dense_forward_wrapper_does_not_cache():
-    layer = DenseLayer(2, 2, name="nc")
-    dense_forward(layer, np.zeros(2))
-    with pytest.raises(ShapeError):
-        layer.backward(np.zeros(2))
 
 
 @given(z=st.lists(st.floats(-700, 700, allow_nan=False), min_size=1,

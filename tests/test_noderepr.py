@@ -7,10 +7,9 @@ from rirl.config import substream
 from rirl.dataio import DagSpec, NodeDef, Scaler, synth_generate
 from rirl.errors import ConfigError, ShapeError, TrainingError
 from rirl.nn import grad_check
-from rirl.noderepr import (FEATURE_LEN, NodeAutoencoder, _lenient_scaler,
-                           decode_node, defeaturize, encode_node, featurize,
-                           featurize_series, scaled_attrs_from_features,
-                           train_node_autoencoder)
+from rirl.noderepr import (FEATURE_LEN, NodeAutoencoder, decode_node,
+                           defeaturize, featurize, featurize_series,
+                           scaled_attrs_from_features, train_node_autoencoder)
 
 
 def tiny_ae(name="N", dim=3, seed=21):
@@ -45,6 +44,11 @@ def test_featurize_rejects_bad_inputs():
         featurize(np.zeros(2), month=13)
     with pytest.raises(ConfigError, match="dimension"):
         featurize(np.zeros(13), month=1)
+    # a batch needs one month per row, each in 1..12
+    with pytest.raises(ShapeError):
+        featurize(np.zeros((3, 2)), month=[1, 2])
+    with pytest.raises(ConfigError, match="month"):
+        featurize(np.zeros((2, 2)), month=[1, 13])
 
 
 @given(st.data())
@@ -74,6 +78,8 @@ def test_featurize_series_matches_per_row_calls(chain_dataset):
     rows = np.stack([featurize(series.values[t], series.months[t], series.scaler)
                      for t in range(series.steps)])
     np.testing.assert_array_equal(feats, rows)
+    np.testing.assert_array_equal(
+        feats, featurize(series.values, series.months, series.scaler))
 
 
 def test_scaled_attrs_inverts_the_tiling():
@@ -87,23 +93,23 @@ def test_scaled_attrs_inverts_the_tiling():
 def test_encode_decode_shapes_and_width_guards():
     model = tiny_ae()
     feat = featurize(np.array([0.1, 0.2, 0.3]), month=5)
-    z = encode_node(model, feat)
+    z = model.encode(feat, cache=False)
     assert z.shape == (4,)
     values, mask_prob = decode_node(model, z)
     assert values.shape == (3,) and mask_prob.shape == (3,)
-    batch_z = encode_node(model, np.stack([feat, feat]))
+    batch_z = model.encode(np.stack([feat, feat]), cache=False)
     assert batch_z.shape == (2, 4)
     # batched and single matmuls take different BLAS paths, agree to an ulp
     np.testing.assert_allclose(batch_z[0], z, rtol=0, atol=1e-12)
-    with pytest.raises(ShapeError, match="feature width"):
-        encode_node(model, feat[:-1])
+    with pytest.raises(ShapeError, match="input width"):
+        model.encode(feat[:-1], cache=False)
     with pytest.raises(ShapeError, match="latent width"):
         decode_node(model, z[:-1])
 
 
 def test_decode_node_gates_values_by_mask_probability():
     model = tiny_ae()
-    z = encode_node(model, featurize(np.array([1.0, -1.0, 0.5]), month=2))
+    z = model.encode(featurize(np.array([1.0, -1.0, 0.5]), month=2), cache=False)
     values, mask_prob = decode_node(model, z)
     gated = mask_prob <= 0.5
     assert np.all(values[gated] == 0.0)
@@ -112,7 +118,7 @@ def test_decode_node_gates_values_by_mask_probability():
 def test_decode_node_applies_stored_scaler():
     model = tiny_ae(dim=1)
     model.scaler = Scaler(mean=np.array([100.0]), std=np.array([1.0]))
-    z = encode_node(model, featurize(np.array([0.0]), month=1, scaler=None))
+    z = model.encode(featurize(np.array([0.0]), month=1, scaler=None), cache=False)
     values, mask_prob = decode_node(model, z)
     # any surviving value sits in the scaler's range, not near zero
     if mask_prob[0] > 0.5:
@@ -145,18 +151,6 @@ def test_key_seed_depends_on_node_name_not_construction_order():
 
 
 # ------------------------------------------------------------ training
-
-def test_lenient_scaler_keeps_constant_attributes_trainable():
-    values = np.column_stack([np.full(120, 5.0), np.zeros(120)])
-    mask = np.column_stack([np.ones(120), np.zeros(120)]).astype(np.uint8)
-    series = type("S", (), {})()
-    series.values, series.mask, series.dim = values, mask, 2
-    scaler = _lenient_scaler(series)
-    np.testing.assert_array_equal(scaler.mean, [5.0, 0.0])
-    np.testing.assert_array_equal(scaler.std, [1.0, 1.0])
-    scaled = scaler.apply(values)
-    assert np.all(np.isfinite(scaled)) and scaled[0, 0] == 0.0
-
 
 def test_training_rejects_degenerate_series(chain_dataset, tiny_config):
     short = chain_dataset["A"]

@@ -63,7 +63,8 @@ def test_micro_causal_roundtrips_with_identical_forward(tmp_path):
     save_micro_causal(model, path)
     back = load_micro_causal(path)
     assert back.causes == ("A",)
-    assert back.relation.relation_id == model.relation.relation_id
+    assert (back.relation.causes, back.relation.effect) == \
+        (model.relation.causes, model.relation.effect)
     assert back.metrics == model.metrics
     rng = substream(4, "persist-window")
     window = {"A": (rng.normal(size=(4, 2)),

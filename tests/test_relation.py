@@ -1,17 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import TINY_CONFIG, tiny_chain_spec
 
 from rirl.config import RunConfig, substream
-from rirl.dataio import DagSpec, NodeDef, synth_generate
-from rirl.errors import DataError, RegistryError, RoutingError, TrainingError
+from rirl.dataio import Scaler, synth_generate
+from rirl.errors import DataError, TrainingError
 from rirl.metrics import MetricRow
 from rirl.nn import grad_check, mse_grad, mse_loss
 from rirl.noderepr import train_node_autoencoder
-from rirl.relation import (MicroCausalModel, RelationModel, RoutingSpec,
-                           StackState, estimate_rank, micro_causal_nse,
-                           relation_forward, route, stack_component,
-                           train_micro_causal, train_relation_frozen)
+from rirl.relation import (MicroCausalModel, RelationModel, micro_causal_nse,
+                           relation_forward, train_micro_causal,
+                           train_relation_frozen)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,6 @@ def test_relation_model_shapes_and_grad_check():
     x = rng.normal(size=(5, 12))
     out = rel.forward(x, cache=False)
     assert out.shape == (5, 4)
-    assert rel.relation_id == (("A",), "B")
 
     target = rng.normal(size=(5, 4))
 
@@ -121,6 +121,26 @@ def test_micro_causal_nse_is_finite(micro_model, chain_dataset):
     assert np.isfinite(score)
 
 
+def test_training_and_scoring_use_the_models_stored_scalers(
+        micro_model, chain_dataset, tiny_config_module, chain_models):
+    # a dataset whose own scalers disagree with the models' must change
+    # nothing: every featurization goes through model.scaler
+    skewed = {name: dataclasses.replace(
+                  series, scaler=Scaler(mean=series.scaler.mean + 1.0,
+                                        std=series.scaler.std * 2.0))
+              for name, series in chain_dataset.items()}
+    again = train_micro_causal(["A"], "B", skewed, tiny_config_module,
+                               chain_models)
+    np.testing.assert_array_equal(again.relation.l1.W, micro_model.relation.l1.W)
+    np.testing.assert_array_equal(again.relation.l2.b, micro_model.relation.l2.b)
+    np.testing.assert_array_equal(again.effect_model.enc1.W,
+                                  micro_model.effect_model.enc1.W)
+    assert again.metrics == micro_model.metrics
+    test_ts = np.arange(200, 260)
+    assert micro_causal_nse(again, skewed, test_ts) == \
+        micro_causal_nse(micro_model, chain_dataset, test_ts)
+
+
 # ------------------------------------------------------ window forward
 
 def test_relation_forward_runs_one_window(micro_model, chain_dataset):
@@ -146,6 +166,11 @@ def test_relation_forward_rejects_bad_windows(micro_model, chain_dataset):
     broken[0, 0] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         relation_forward(micro_model, {"A": (broken, good[1])})
+    for bad_month in (0, 13):
+        months = good[1].copy()
+        months[0] = bad_month
+        with pytest.raises(DataError, match="month"):
+            relation_forward(micro_model, {"A": (good[0], months)})
 
 
 # ------------------------------------------------------- frozen fits
@@ -172,75 +197,3 @@ def test_frozen_relation_is_deterministic(tiny_config_module):
                                 substream(6, "frozen-a"))
     np.testing.assert_array_equal(one.l1.W, two.l1.W)
     np.testing.assert_array_equal(one.l2.W, two.l2.W)
-
-
-# ----------------------------------------------------------- stacking
-
-def test_stacking_registers_once_and_warns_when_crowded():
-    state = StackState(latent_dim=4)
-    stack_component(state, "C", (("A",), "C"))
-    assert state.components("C") == [(("A",), "C")]
-    with pytest.raises(RegistryError, match="already stacked"):
-        stack_component(state, "C", (("A",), "C"))
-    state.rank_estimates["C"] = 3
-    with pytest.warns(UserWarning, match="may not disentangle"):
-        stack_component(state, "C", (("B",), "C"))
-
-
-def test_rank_estimate_counts_independent_directions(chain_dataset):
-    rank = estimate_rank(chain_dataset["A"])
-    assert rank == chain_dataset["A"].dim
-
-
-# ------------------------------------------------------------ routing
-
-def test_route_single_hop_matches_relation_forward(micro_model, chain_dataset):
-    n = micro_model.window_n
-    series = chain_dataset["A"]
-    window = {"A": (series.values[50:50 + n], series.months[50:50 + n])}
-    models = {micro_model.relation_id: micro_model}
-    spec = RoutingSpec(path=[micro_model.relation_id])
-    decoded = route(spec, window, models)
-    _, direct = relation_forward(micro_model, window)
-    np.testing.assert_array_equal(decoded, direct)
-    latent = route(RoutingSpec(path=[micro_model.relation_id],
-                               output_selector="latent"), window, models)
-    assert latent.shape == (micro_model.relation.latent_dim,)
-
-
-def test_route_rejects_bad_specs(micro_model, chain_dataset):
-    models = {micro_model.relation_id: micro_model}
-    n = micro_model.window_n
-    series = chain_dataset["A"]
-    window = {"A": (series.values[:n], series.months[:n])}
-    with pytest.raises(RoutingError, match="empty path"):
-        route(RoutingSpec(path=[]), window, models)
-    with pytest.raises(RoutingError, match="not registered"):
-        route(RoutingSpec(path=[(("Z",), "B")]), window, models)
-    with pytest.raises(RoutingError, match="unknown input selector"):
-        route(RoutingSpec(path=[micro_model.relation_id],
-                          input_selector="grid"), window, models)
-    with pytest.raises(RoutingError, match="unknown output selector"):
-        route(RoutingSpec(path=[micro_model.relation_id],
-                          output_selector="grid"), window, models)
-    with pytest.raises(RoutingError, match="wrong width"):
-        route(RoutingSpec(path=[micro_model.relation_id],
-                          input_selector="latent"),
-              np.zeros(3), models)
-
-
-def test_route_refuses_a_broken_chain(micro_model):
-    # second hop consumes "Q", not the first hop's effect "B"
-    other = MicroCausalModel(causes=("Q",),
-                             cause_models=micro_model.cause_models,
-                             relation=RelationModel(
-                                 ("Q",), "R", micro_model.window_n,
-                                 micro_model.relation.latent_dim, 8,
-                                 substream(9, "broken")),
-                             effect_model=micro_model.effect_model,
-                             window_n=micro_model.window_n)
-    models = {micro_model.relation_id: micro_model,
-              other.relation_id: other}
-    with pytest.raises(RoutingError, match="broken chain"):
-        route(RoutingSpec(path=[micro_model.relation_id, other.relation_id]),
-              {}, models)
