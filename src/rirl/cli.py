@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -122,7 +123,11 @@ def cmd_init(args):
         results = [_init_one(job) for job in jobs]
     else:
         with pool:
-            results = list(pool.map(_init_one, jobs))
+            try:
+                results = list(pool.map(_init_one, jobs))
+            except BrokenProcessPool as exc:
+                raise TrainingError(
+                    f"node training pool: a worker process died ({exc})") from exc
     rows = []
     for series, (model, metrics) in zip(dataset.values(), results):
         save_node_model(model, os.path.join(out, f"{series.name}.json"))
@@ -222,13 +227,6 @@ def cmd_report(args):
         raise ConfigError(f"unknown report format {args.format!r}")
     run_dir = args.run_dir
     models_dir = args.models or config.models_path or os.path.join(run_dir, "models")
-    data = args.data or config.data_path
-    if not data:
-        guess = os.path.join(run_dir, "data.csv")
-        if os.path.exists(guess):
-            data = guess
-        else:
-            raise ConfigError("report needs --data or data_path")
     try:
         entries = sorted(os.listdir(models_dir))
     except OSError as exc:
@@ -238,7 +236,8 @@ def cmd_report(args):
                   if e.endswith(".json") and not e.startswith("rel_")]
     if not rel_files and not node_files:
         raise PersistenceError(f"no model artifacts under {models_dir}")
-    dataset = load_csv(data)
+    if args.format == "svg":
+        dataset = load_csv(_report_data_path(args, config, run_dir))
     os.makedirs(run_dir, exist_ok=True)
     written = []
     if args.format == "csv":
@@ -266,6 +265,16 @@ def cmd_report(args):
     for path in written:
         print(f"wrote {path}")
     return 0
+
+
+def _report_data_path(args, config, run_dir):
+    data = args.data or config.data_path
+    if data:
+        return data
+    guess = os.path.join(run_dir, "data.csv")
+    if os.path.exists(guess):
+        return guess
+    raise ConfigError("report needs --data or data_path")
 
 
 def _reconstruction_plot(model, dataset, config, run_dir):

@@ -7,6 +7,7 @@ alone regardless of worker count or evaluation order.
 
 import math
 import multiprocessing
+import multiprocessing.context
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -132,13 +133,41 @@ def substream(seed, *labels):
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class _OneBlasThreadProcess(multiprocessing.context.SpawnProcess):
+    """A spawned process whose BLAS runs one thread. A worker imports
+    numpy while it unpickles its target, before any initializer runs,
+    so the variables must be in the environment it starts with; the
+    parent's environment is put back as soon as the child is started."""
+
+    @staticmethod
+    def _Popen(process_obj):
+        saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        try:
+            return multiprocessing.context.SpawnProcess._Popen(process_obj)
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+
+
+class _OneBlasThreadContext(multiprocessing.context.SpawnContext):
+    Process = _OneBlasThreadProcess
+
+
 def process_pool(workers, initializer=None, initargs=()):
     """A process pool of `workers` processes, at most one per CPU this
     process may run on; None when that leaves a single worker. Workers
-    are spawned, not forked, because the parent runs BLAS threads."""
+    are spawned, not forked, because the parent runs BLAS threads, and
+    each runs BLAS on one thread, so the pool never runs more busy
+    threads than it has CPUs."""
     size = min(workers, len(os.sched_getaffinity(0)))
     if size <= 1:
         return None
-    return ProcessPoolExecutor(max_workers=size,
-                               mp_context=multiprocessing.get_context("spawn"),
+    return ProcessPoolExecutor(max_workers=size, mp_context=_OneBlasThreadContext(),
                                initializer=initializer, initargs=initargs)

@@ -19,6 +19,7 @@ target's parent set is unchanged; once a selection extends that set,
 the evaluation is stale and is rebuilt from the cache.
 """
 
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,7 +246,12 @@ def explore(nodes, candidates, data=None, config=None, models=None,
             if strength_fn is not None:
                 values = [strength_fn(frozenset(causes), n) for causes, n in missing]
             elif pool is not None:
-                values = pool.map(_pool_eval, missing)
+                try:
+                    values = list(pool.map(_pool_eval, missing))
+                except BrokenProcessPool as exc:
+                    raise ExplorationError(
+                        f"strength evaluation pool: a worker process died ({exc})"
+                    ) from exc
             else:
                 values = [_strength_eval(ctx, list(causes), n) for causes, n in missing]
             for key, value in zip(missing, values):

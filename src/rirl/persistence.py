@@ -142,14 +142,21 @@ def save_micro_causal(model, path):
 
 
 def _write_doc(doc, path):
+    """Write doc to a temporary file beside path, then rename it over
+    path, so a failed write leaves any earlier file as it was."""
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
+    tmp = os.path.join(parent, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
+        os.replace(tmp, path)
     except OSError as exc:
         raise PersistenceError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_doc(path, kind):
@@ -196,7 +203,7 @@ def load_micro_causal(path):
             causes=tuple(doc["causes"]), cause_models=cause_models,
             relation=relation, effect_model=effect_model,
             window_n=int(doc["window_n"]),
-            metrics=metrics, training_log=[])
+            metrics=metrics)
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(
             f"corrupted micro-causal document: {exc}") from exc

@@ -26,7 +26,8 @@ from .config import substream
 from .dataio import NodeSeries, kfold_split
 from .errors import DataError, TrainingError
 from .metrics import MetricRow, nse
-from .nn import Adam, DenseLayer, LossReport, bce_grad, bce_loss, mse_grad, mse_loss
+from .nn import (Adam, DenseLayer, LossReport, OptimizerState, adam_step,
+                 bce_grad, bce_loss, mse_grad, mse_loss)
 from .noderepr import (decode_node, featurize_series, scaled_attrs_from_features)
 from .stats import gaussian_kld, gaussian_stats, kld_batch_grad
 
@@ -72,7 +73,7 @@ class MicroCausalModel:
     effect_model: object
     window_n: int
     metrics: MetricRow = None
-    training_log: dict = None
+    training_log: dict | None = None
 
 
 def _window_offsets(ts, n):
@@ -305,6 +306,15 @@ def relation_forward(model, cause_windows):
     return v_hat, values
 
 
+def _flat_views(buf, arrays):
+    """Views into the flat vector buf, one per array, shaped like it."""
+    views, pos = [], 0
+    for arr in arrays:
+        views.append(buf[pos:pos + arr.size].reshape(arr.shape))
+        pos += arr.size
+    return views
+
+
 def train_relation_frozen(x_train, v_train, config, rng, causes=("x",), effect="y"):
     """Relation-only training on precomputed latents.
 
@@ -312,27 +322,44 @@ def train_relation_frozen(x_train, v_train, config, rng, causes=("x",), effect="
     encoders frozen this reduces to a small supervised fit in latent
     space (MSE plus the KLD batch penalty), which keeps strength
     evaluation cheap without touching the scoring semantics.
+
+    Each batch is one inline forward and backward pass over a single
+    flat parameter vector and a single flat gradient, of which the
+    layers hold views, so one adam_step call updates all four arrays.
+    The weights are bit for bit those of RelationModel.forward and
+    backward with Adam over the four arrays.
     """
     x_train = np.asarray(x_train, dtype=float)
     v_train = np.asarray(v_train, dtype=float)
     relation = RelationModel(causes, effect, config.window_n, config.latent_dim,
                              config.hidden_width, rng, in_dim=x_train.shape[1])
-    adam = Adam(relation.parameters(), lr=config.lr)
+    l1, l2 = relation.l1, relation.l2
+    arrays = [l1.W, l1.b, l2.W, l2.b]
+    theta = np.concatenate([arr.ravel() for arr in arrays])
+    grad = np.empty_like(theta)
+    l1.W, l1.b, l2.W, l2.b = W1, b1, W2, b2 = _flat_views(theta, arrays)
+    gW1, gb1, gW2, gb2 = _flat_views(grad, arrays)
+    state = OptimizerState([theta], lr=config.lr)
     lam_k = config.lambda_kld
     for _epoch in range(config.explore_epochs):
         perm = rng.permutation(x_train.shape[0])
         for start in range(0, perm.size, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            relation.zero_grads()
-            v_hat = relation.forward(x_train[idx], cache=True)
-            loss = mse_loss(v_hat, v_train[idx])
-            grad = mse_grad(v_hat, v_train[idx])
+            x, v = x_train[idx], v_train[idx]
+            a1 = np.tanh(x @ W1.T + b1)
+            v_hat = a1 @ W2.T + b2
+            loss = mse_loss(v_hat, v)
+            g_out = mse_grad(v_hat, v)
             if lam_k > 0.0 and idx.size >= 2:
-                kval, kg = kld_batch_grad(v_hat, gaussian_stats(v_train[idx]))
+                kval, kg = kld_batch_grad(v_hat, gaussian_stats(v))
                 loss += lam_k * kval
-                grad = grad + lam_k * kg
+                g_out = g_out + lam_k * kg
             if not np.isfinite(loss):
                 raise TrainingError("frozen relation training diverged")
-            relation.backward(grad)
-            adam.step(relation.gradients())
+            np.matmul(g_out.T, a1, out=gW2)
+            np.sum(g_out, axis=0, out=gb2)
+            gz1 = (g_out @ W2) * (1.0 - a1 * a1)
+            np.matmul(gz1.T, x, out=gW1)
+            np.sum(gz1, axis=0, out=gb1)
+            adam_step([theta], [grad], state, names=["frozen relation parameters"])
     return relation

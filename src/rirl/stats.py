@@ -21,15 +21,24 @@ class GaussianStats:
     var: np.ndarray
 
 
+def _mean_var(arr):
+    """Column means, the centred batch and column variances of a 2-D
+    batch, bit for bit arr.mean(0), arr - mean and arr.var(0) without
+    numpy's Python-level wrappers around the reductions."""
+    n = arr.shape[0]
+    mean = np.add.reduce(arr, 0) / n
+    centred = arr - mean
+    return mean, centred, np.add.reduce(centred * centred, 0) / n
+
+
 def gaussian_stats(batch):
     arr = np.asarray(batch, dtype=float)
     if arr.ndim != 2:
         raise ShapeError(f"gaussian_stats: expected 2-D batch, got ndim={arr.ndim}")
     if arr.shape[0] < 2:
         raise EstimationError(f"gaussian_stats: need >= 2 samples, got {arr.shape[0]}")
-    mean = arr.mean(axis=0)
-    var = np.maximum(arr.var(axis=0), VAR_FLOOR)
-    return GaussianStats(mean=mean, var=var)
+    mean, _, raw_var = _mean_var(arr)
+    return GaussianStats(mean=mean, var=np.maximum(raw_var, VAR_FLOOR))
 
 
 def gaussian_kld(p, q):
@@ -60,13 +69,12 @@ def kld_batch_grad(batch_p, q):
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise EstimationError("kld_batch_grad: need a 2-D batch with >= 2 samples")
     n = arr.shape[0]
-    mean = arr.mean(axis=0)
-    raw_var = arr.var(axis=0)
+    mean, centred, raw_var = _mean_var(arr)
     var = np.maximum(raw_var, VAR_FLOOR)
     p = GaussianStats(mean=mean, var=var)
     value = gaussian_kld(p, q)
     d_mean = (mean - q.mean) / q.var                     # dKLD/d mu_p
     d_var = 0.5 * (1.0 / q.var - 1.0 / var)              # dKLD/d var_p
     d_var = np.where(raw_var > VAR_FLOOR, d_var, 0.0)
-    grad = d_mean[None, :] / n + d_var[None, :] * 2.0 * (arr - mean[None, :]) / n
+    grad = d_mean[None, :] / n + d_var[None, :] * 2.0 * centred / n
     return value, grad

@@ -1,6 +1,9 @@
 import csv
+import importlib
 import json
 import os
+import shutil
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from conftest import tiny_chain_spec
@@ -139,6 +142,25 @@ def test_workers_environment_variable(workspace, tmp_path, monkeypatch,
                  "--out", str(tmp_path / "x.csv"), "--seed", "7"]) == 0
 
 
+def _nan_cell_copy(data, path):
+    lines = open(data).read().split("\n")
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+def test_csv_report_does_not_read_the_dataset(workspace, tmp_path):
+    bad = _nan_cell_copy(workspace["data"], tmp_path / "nan.csv")
+    run_dir = tmp_path / "run"
+    assert main(["report", str(run_dir), "--format", "csv", "--data", bad,
+                 "--models", workspace["models"]] + TINY_FLAGS) == 0
+    with open(os.path.join(workspace["run_dir"], "report_relations.csv"), "rb") as fh:
+        assert (run_dir / "report_relations.csv").read_bytes() == fh.read()
+    # the plots do read it, and refuse the bad cell
+    assert main(["report", str(run_dir), "--format", "svg", "--data", bad,
+                 "--models", workspace["models"]] + TINY_FLAGS) == 3
+
+
 # ----------------------------------------------------------- failures
 
 def test_config_errors_exit_2(workspace, tmp_path, capsys):
@@ -176,11 +198,8 @@ def test_bad_numbers_fail_at_load(workspace, tmp_path):
     old.write_text("window_m = 1\n")
     assert main(["init", "--data", workspace["data"], "--out",
                  str(tmp_path / "m"), "--config", str(old)]) == 2
-    lines = open(workspace["data"]).read().split("\n")
-    lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
-    bad = tmp_path / "nan.csv"
-    bad.write_text("\n".join(lines))
-    assert main(["init", "--data", str(bad), "--out", str(tmp_path / "m")]
+    bad = _nan_cell_copy(workspace["data"], tmp_path / "nan.csv")
+    assert main(["init", "--data", bad, "--out", str(tmp_path / "m")]
                 + TINY_FLAGS) == 3
     assert not os.path.exists(tmp_path / "m")
 
@@ -205,3 +224,53 @@ def test_persistence_errors_exit_6(workspace, tmp_path):
     assert main(["report", str(tmp_path / "run"), "--format", "csv",
                  "--data", workspace["data"],
                  "--models", str(tmp_path / "missing_models")]) == 6
+
+
+def test_failed_model_write_exits_6_and_keeps_the_old_file(workspace, tmp_path,
+                                                           monkeypatch):
+    out = tmp_path / "models"
+    out.mkdir()
+    shutil.copy(os.path.join(workspace["models"], "A.json"), out / "A.json")
+    before = (out / "A.json").read_bytes()
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    assert main(["init", "--data", workspace["data"], "--out", str(out)]
+                + TINY_FLAGS) == 6
+    assert (out / "A.json").read_bytes() == before
+    assert sorted(os.listdir(out)) == ["A.json"]
+
+
+class _CrashedPool:
+    """A process pool whose worker has died."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def map(self, fn, jobs):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+    def shutdown(self):
+        pass
+
+
+def test_crashed_pool_workers_get_mapped_exit_codes(workspace, tmp_path,
+                                                    monkeypatch, capsys):
+    # rirl.explore is also the name of a function the package exports
+    for module in ("rirl.cli", "rirl.explore"):
+        monkeypatch.setattr(importlib.import_module(module), "process_pool",
+                            lambda *a, **k: _CrashedPool())
+    assert main(["init", "--data", workspace["data"], "--out",
+                 str(tmp_path / "m"), "--workers", "2"] + TINY_FLAGS) == 4
+    assert "node training pool" in capsys.readouterr().err
+    assert main(["explore", "--candidates", workspace["cands"],
+                 "--data", workspace["data"], "--models", workspace["models"],
+                 "--out", str(tmp_path / "rep"), "--workers", "2"]
+                + TINY_FLAGS) == 5
+    assert "strength evaluation pool" in capsys.readouterr().err

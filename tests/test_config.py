@@ -1,9 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from rirl.config import RunConfig, substream
+from rirl.config import BLAS_THREAD_VARS, RunConfig, process_pool, substream
 from rirl.errors import ConfigError
 
 
@@ -117,3 +118,22 @@ def test_substream_accepts_mixed_label_types():
     two = substream(0, "strength", "3", "E").normal()
     # labels are hashed through their string form, so 3 and "3" agree
     assert one == two
+
+
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    pool = process_pool(2)
+    with pool:
+        seen = list(pool.map(os.getenv, BLAS_THREAD_VARS))
+        assert dict(os.environ) == before
+    assert seen == ["1", "1", "1"]
+    assert dict(os.environ) == before
+
+
+def test_no_pool_for_one_worker_or_one_cpu(monkeypatch):
+    assert process_pool(1) is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert process_pool(4) is None

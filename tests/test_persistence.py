@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from rirl import persistence
 from rirl.config import substream
 from rirl.dataio import Scaler
 from rirl.errors import PersistenceError
@@ -59,10 +60,13 @@ def test_node_model_roundtrips_bit_exactly(tmp_path):
 
 def test_micro_causal_roundtrips_with_identical_forward(tmp_path):
     model = build_micro_model()
+    model.training_log = {"epoch_loss": [0.5], "step2_reverts": 0}
     path = str(tmp_path / "micro.json")
     save_micro_causal(model, path)
     back = load_micro_causal(path)
     assert back.causes == ("A",)
+    # the training log is not stored: a loaded model has none
+    assert back.training_log is None
     assert (back.relation.causes, back.relation.effect) == \
         (model.relation.causes, model.relation.effect)
     assert back.metrics == model.metrics
@@ -87,6 +91,22 @@ def test_save_creates_parent_directories(tmp_path):
     path = str(tmp_path / "deep" / "nested" / "node.json")
     save_node_model(build_node_model(), path)
     assert os.path.exists(path)
+
+
+def test_failed_write_leaves_the_earlier_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "node.json"
+    save_node_model(build_node_model(), str(path))
+    before = path.read_bytes()
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write('{"schema_version": 1, "ki')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(persistence.json, "dump", dump_then_fail)
+    with pytest.raises(PersistenceError, match="cannot write"):
+        save_node_model(build_node_model(seed=99), str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["node.json"]
 
 
 # ------------------------------------------------------------- errors

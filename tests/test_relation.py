@@ -8,11 +8,12 @@ from rirl.config import RunConfig, substream
 from rirl.dataio import Scaler, synth_generate
 from rirl.errors import DataError, TrainingError
 from rirl.metrics import MetricRow
-from rirl.nn import grad_check, mse_grad, mse_loss
+from rirl.nn import Adam, grad_check, mse_grad, mse_loss
 from rirl.noderepr import train_node_autoencoder
 from rirl.relation import (MicroCausalModel, RelationModel, micro_causal_nse,
                            relation_forward, train_micro_causal,
                            train_relation_frozen)
+from rirl.stats import gaussian_stats, kld_batch_grad
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +198,67 @@ def test_frozen_relation_is_deterministic(tiny_config_module):
                                 substream(6, "frozen-a"))
     np.testing.assert_array_equal(one.l1.W, two.l1.W)
     np.testing.assert_array_equal(one.l2.W, two.l2.W)
+
+
+def _reference_frozen_fit(x_train, v_train, config, rng):
+    """The frozen fit written with the layers themselves: forward and
+    backward through RelationModel, the MSE and KLD gradients, and Adam
+    over the four parameter arrays."""
+    relation = RelationModel(("x",), "y", config.window_n, config.latent_dim,
+                             config.hidden_width, rng, in_dim=x_train.shape[1])
+    adam = Adam(relation.parameters(), lr=config.lr)
+    lam_k = config.lambda_kld
+    for _epoch in range(config.explore_epochs):
+        perm = rng.permutation(x_train.shape[0])
+        for start in range(0, perm.size, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            relation.zero_grads()
+            v_hat = relation.forward(x_train[idx], cache=True)
+            grad = mse_grad(v_hat, v_train[idx])
+            if lam_k > 0.0 and idx.size >= 2:
+                _, kg = kld_batch_grad(v_hat, gaussian_stats(v_train[idx]))
+                grad = grad + lam_k * kg
+            relation.backward(grad)
+            adam.step(relation.gradients())
+    return relation
+
+
+@pytest.mark.parametrize("rows,causes,lambda_kld", [
+    (97, 1, 0.1),     # 3 full batches of 32 and a last batch of 1 row
+    (97, 2, 0.0),
+    (130, 3, 0.02),
+    (64, 1, 0.1),
+])
+def test_frozen_fit_matches_the_layer_by_layer_fit_bit_for_bit(rows, causes,
+                                                               lambda_kld):
+    cfg = RunConfig(**dict(TINY_CONFIG, window_n=3, explore_epochs=3,
+                           lambda_kld=lambda_kld, lr=3e-3))
+    data_rng = substream(rows, "frozen-windows", causes)
+    x = data_rng.normal(size=(rows, causes * cfg.window_n * cfg.latent_dim))
+    v = data_rng.normal(size=(rows, cfg.latent_dim)) * 0.5 + 0.2
+    fused = train_relation_frozen(x, v, cfg, substream(8, "frozen-eq", rows))
+    reference = _reference_frozen_fit(x, v, cfg, substream(8, "frozen-eq", rows))
+    for layer in ("l1", "l2"):
+        for arr in ("W", "b"):
+            got = getattr(getattr(fused, layer), arr)
+            want = getattr(getattr(reference, layer), arr)
+            assert np.array_equal(got, want), f"{layer}.{arr}"
+    assert np.array_equal(fused.forward(x, cache=False),
+                          reference.forward(x, cache=False))
+
+
+def test_frozen_fit_refuses_non_finite_gradients_and_losses(tiny_config_module):
+    rng = substream(9, "frozen-bad")
+    x = rng.normal(size=(80, 8))
+    v = rng.normal(size=(80, 4))
+    # an infinite input saturates tanh: the loss stays finite, but the
+    # first layer's weight gradient is 0 * inf
+    x_inf = x.copy()
+    x_inf[3, 2] = np.inf
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(TrainingError, match="non-finite gradient"):
+        train_relation_frozen(x_inf, v, tiny_config_module, substream(9, "a"))
+    v_nan = v.copy()
+    v_nan[5, 1] = np.nan
+    with pytest.raises(TrainingError, match="diverged"):
+        train_relation_frozen(x, v_nan, tiny_config_module, substream(9, "b"))

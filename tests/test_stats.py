@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rirl.errors import EstimationError, ShapeError
-from rirl.stats import (GaussianStats, VAR_FLOOR, gaussian_kld,
+from rirl.stats import (GaussianStats, VAR_FLOOR, _mean_var, gaussian_kld,
                         gaussian_kld_from_batches, gaussian_stats,
                         kld_batch_grad)
 
@@ -15,6 +15,16 @@ def test_gaussian_stats_mean_var_and_floor():
     np.testing.assert_array_equal(stats.mean, [2.0, 5.0])
     # population variance, and the constant column lands on the floor
     np.testing.assert_array_equal(stats.var, [1.0, VAR_FLOOR])
+
+
+@given(st.integers(2, 200), st.integers(1, 32), st.integers(0, 2**32 - 1),
+       st.floats(-1e3, 1e3), st.floats(1e-4, 1e3))
+def test_mean_var_equals_numpy_bit_for_bit(n, d, seed, loc, scale):
+    arr = np.random.default_rng(seed).normal(loc, scale, size=(n, d))
+    mean, centred, var = _mean_var(arr)
+    assert np.array_equal(mean, arr.mean(axis=0))
+    assert np.array_equal(centred, arr - arr.mean(axis=0))
+    assert np.array_equal(var, arr.var(axis=0))
 
 
 def test_gaussian_stats_rejects_bad_batches():
