@@ -1,9 +1,9 @@
 """Command-line surface: synth, init, edge, explore, report.
 
 Every flag mirrors a RunConfig key and overrides the same key from
---config; RIRL_WORKERS supplies the worker default. Commands are
-deterministic given their inputs and seed, and exit with a distinct
-code per error family so shell pipelines can branch on failure kind.
+--config. Commands are deterministic given their inputs and seed, and
+exit with a distinct code per error family so shell pipelines can
+branch on failure kind.
 """
 
 import argparse
@@ -52,12 +52,6 @@ def _resolve_config(args):
         val = getattr(args, f.name, None)
         if val is not None:
             overrides[f.name] = val
-    if "workers" not in overrides and os.environ.get("RIRL_WORKERS"):
-        raw = os.environ["RIRL_WORKERS"]
-        try:
-            overrides["workers"] = int(raw)
-        except ValueError:
-            raise ConfigError(f"RIRL_WORKERS must be an integer, got {raw!r}")
     return config.override(**overrides)
 
 

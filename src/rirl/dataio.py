@@ -11,7 +11,7 @@ masks are part of the causal story, not cosmetics.
 import csv
 import datetime
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,35 +170,21 @@ class DagSpec:
         return cls(nodes=nodes, edges=edges, seed=int(doc.get("seed", 0)))
 
 
-@dataclass
-class GenReport:
-    edge_contrib: dict = field(default_factory=dict)   # (cause, effect) -> mean |contribution|
-    tier_contrib: dict = field(default_factory=dict)   # tier -> mean over its edges
-
-
 def _softplus(z):
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
-def synth_generate(spec, days, seed, ablate=None, return_report=False):
-    """Generate the dataset for a DagSpec. Deterministic in (spec, seed).
-
-    ablate names one node whose series is zeroed after its random draws
-    are consumed; descendants then see the zeroed signal while every
-    non-descendant stays bit-identical. Used to audit causal ordering.
-    """
+def synth_generate(spec, days, seed):
+    """Generate the dataset for a DagSpec. Deterministic in (spec, seed)."""
     spec.validate()
     if days < 1:
         raise ConfigError("days must be >= 1")
-    if ablate is not None and ablate not in {n.name for n in spec.nodes}:
-        raise ConfigError(f"ablate target {ablate!r} is not a spec node")
     T = int(days)
     dates = [START_DATE + datetime.timedelta(days=t) for t in range(T)]
     months = np.array([d.month for d in dates], dtype=int)
     defs = {n.name: n for n in spec.nodes}
     order = spec.topo_order()
     dataset = {}
-    report = GenReport()
     for name in order:
         node = defs[name]
         rng = substream(seed, "synth", spec.seed, name)
@@ -222,28 +208,16 @@ def synth_generate(spec, days, seed, ablate=None, return_report=False):
             z = (lagged - lagged.mean()) / sd if sd > 1e-12 else np.zeros(T)
             contrib = e.effective_gain() * _softplus(z)
             values += contrib[:, None]
-            report.edge_contrib[(e.cause, e.effect)] = float(np.abs(contrib).mean())
         if node.nonzero_rate < 1.0:
             for a in range(node.dim):
                 thr = np.quantile(values[:, a], 1.0 - node.nonzero_rate)
                 values[:, a] = np.where(values[:, a] > thr, values[:, a], 0.0)
-        if ablate == name:
-            values[:] = 0.0
         mask = (values != 0.0).astype(np.uint8)
-        scaler = None
-        if ablate != name:
-            scaler = scale_fit_arrays(values, mask, name)
         dataset[name] = NodeSeries(name=name, values=values, mask=mask,
-                                   months=months, dates=list(dates), scaler=scaler)
+                                   months=months, dates=list(dates),
+                                   scaler=scale_fit_arrays(values, mask, name))
     # order the mapping as declared in the spec, not topologically
-    dataset = {n.name: dataset[n.name] for n in spec.nodes}
-    for tier in sorted({e.tier for e in spec.edges}):
-        pairs = [(e.cause, e.effect) for e in spec.edges if e.tier == tier]
-        report.tier_contrib[tier] = float(np.mean(
-            [report.edge_contrib[p] for p in pairs if p in report.edge_contrib]))
-    if return_report:
-        return dataset, report
-    return dataset
+    return {n.name: dataset[n.name] for n in spec.nodes}
 
 
 def scale_fit_arrays(values, mask, name):
@@ -285,11 +259,11 @@ def save_csv(dataset, path):
             writer.writerow(row)
 
 
-def load_csv(path, expect=None):
+def load_csv(path):
     """Read a dataset written by save_csv.
 
-    expect, when given, maps node name to attribute count and missing
-    columns raise a DataError naming the first absent one.
+    Each node's columns, in header order, must be <node>.a0, <node>.a1,
+    and so on; other nodes' columns may come between them.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -306,15 +280,14 @@ def load_csv(path, expect=None):
         columns = header[1:]
         groups = {}
         for idx, col in enumerate(columns):
-            if "." not in col:
+            node, dot, attr = col.partition(".")
+            if not dot:
                 raise DataError(f"{path}: column {col!r} is not <node>.<attr>")
-            node, _ = col.split(".", 1)
-            groups.setdefault(node, []).append(idx)
-        if expect is not None:
-            for name, dim in expect.items():
-                for a in range(dim):
-                    if f"{name}.a{a}" not in columns:
-                        raise DataError(f"{path}: missing column {name}.a{a}")
+            idxs = groups.setdefault(node, [])
+            if attr != f"a{len(idxs)}":
+                raise DataError(f"{path}: column {col!r} is out of order, "
+                                f"expected {node}.a{len(idxs)}")
+            idxs.append(idx)
         rows = []
         dates = []
         seen = set()

@@ -268,10 +268,10 @@ def explore(nodes, candidates, data=None, config=None, models=None,
                 else:
                     if cached is not None:
                         state.stale_reuses += 1
-                    k_without, k_with = cached_k(beta, n), cached_k(beta | {p}, n)
-                    ev = CandidateEval(edge=(p, n), beta=beta, k_with=k_with,
-                                       k_without=k_without,
-                                       delta=k_with - k_without)
+                    ev = CandidateEval(edge=(p, n), beta=beta,
+                                       k_with=cached_k(beta | {p}, n),
+                                       k_without=cached_k(beta, n),
+                                       delta=kld_gain(beta, p, n, cached_k))
                     state.eval_cache[(p, n)] = ev
                     state.evals_computed += 1
                 entries.append(RoundEntry(

@@ -14,7 +14,7 @@ from .errors import CheckError, ConfigError, ShapeError, TrainingError
 
 PROB_CLAMP = 1e-7
 
-ACTIVATIONS = ("identity", "tanh", "relu", "sigmoid")
+ACTIVATIONS = ("identity", "tanh", "sigmoid")
 
 
 def _activate(name, z):
@@ -22,8 +22,6 @@ def _activate(name, z):
         return z
     if name == "tanh":
         return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
     if name == "sigmoid":
         # sign-split form stays finite for large |z|
         out = np.empty_like(z)
@@ -42,8 +40,6 @@ def _activate_grad(name, z, a):
         return np.ones_like(z)
     if name == "tanh":
         return 1.0 - a * a
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
     if name == "sigmoid":
         return a * (1.0 - a)
     raise ConfigError(f"unknown activation {name!r}")

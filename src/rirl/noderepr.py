@@ -54,28 +54,6 @@ def featurize_series(series, scaler=None):
                      scaler if scaler is not None else series.scaler)
 
 
-def defeaturize(feature, d, scaler=None):
-    """Invert featurize: (attributes, month). Exact for any d <= 12."""
-    feature = np.asarray(feature, dtype=float)
-    squeeze = feature.ndim == 1
-    feat = feature[None, :] if squeeze else feature
-    if feat.shape[1] != FEATURE_LEN:
-        raise ShapeError(f"defeaturize: expected width {FEATURE_LEN}, got {feat.shape[1]}")
-    sel = _slot_map(d)
-    attrs = np.empty((feat.shape[0], d))
-    for a in range(d):
-        # tile copies are identical by construction, so the first one is
-        # the value itself; averaging noisy decoded features is
-        # scaled_attrs_from_features' job
-        attrs[:, a] = feat[:, np.flatnonzero(sel == a)[0]]
-    if scaler is not None:
-        attrs = scaler.invert(attrs)
-    months = np.argmax(feat[:, SLOTS:], axis=1) + 1
-    if squeeze:
-        return attrs[0], int(months[0])
-    return attrs, months
-
-
 def scaled_attrs_from_features(feature, d):
     """Tile-averaged scaled attributes, no scaler inversion."""
     feature = np.asarray(feature, dtype=float)
@@ -202,7 +180,7 @@ def decode_node(model, latent):
     return values, mask_prob
 
 
-def train_node_autoencoder(series, config, holdout_fold=None):
+def train_node_autoencoder(series, config):
     """Fit one node's autoencoder; returns (model, metrics dict).
 
     Metrics come from a held-out contiguous fold: scaled and unscaled
@@ -219,9 +197,8 @@ def train_node_autoencoder(series, config, holdout_fold=None):
     feats = featurize_series(series, scaler)
     T = series.steps
     plan = kfold_split(T, config.folds)
-    hold = plan.k - 1 if holdout_fold is None else holdout_fold
-    train_idx = plan.train_indices(hold)
-    test_idx = plan.test_indices(hold)
+    train_idx = plan.train_indices(plan.k - 1)
+    test_idx = plan.test_indices(plan.k - 1)
 
     rng = substream(config.seed, "node-init", series.name)
     model = NodeAutoencoder(series.name, series.dim,
@@ -246,33 +223,45 @@ def train_node_autoencoder(series, config, holdout_fold=None):
             adam.step(grads)
             epoch_losses.append(report.total)
         history.append(float(np.mean(epoch_losses)))
-    metrics = evaluate_node_model(model, series, feats, test_idx, config)
+    metrics = evaluate_node_model(model, series, feats, test_idx)
     metrics["loss_history"] = history
     return model, metrics
 
 
-def evaluate_node_model(model, series, feats, test_idx, config):
+def evaluate_node_model(model, series, feats, test_idx):
     latent = model.encode(feats[test_idx], cache=False)
     feat_hat, mask_prob = model.decode_latent(latent, cache=False)
-    scaled_true = model.scaler.apply(series.values[test_idx])
-    scaled_hat = scaled_attrs_from_features(feat_hat, model.dim)
-    rmse_scaled = float(np.sqrt(np.mean((scaled_hat - scaled_true) ** 2)))
-    values_hat = model.scaler.invert(scaled_hat) * (mask_prob > 0.5)
     true_vals = series.values[test_idx]
-    rmse_unscaled = float(np.sqrt(np.mean((values_hat - true_vals) ** 2)))
-    mask_bce = bce_loss(mask_prob, series.mask[test_idx].astype(float))
-    nse_vals = []
-    for a in range(model.dim):
-        obs = true_vals[:, a]
-        if obs.std() > 1e-12:
-            nse_vals.append(nse(values_hat[:, a], obs))
+    rmse_scaled, rmse_unscaled, mask_bce, values_hat = _reconstruction_scores(
+        model, feat_hat, mask_prob, true_vals, series.mask[test_idx])
     return {
         "node": series.name,
         "rmse_scaled": rmse_scaled,
         "rmse_unscaled": rmse_unscaled,
-        "mask_bce": float(mask_bce),
-        "nse": float(np.mean(nse_vals)) if nse_vals else float("nan"),
+        "mask_bce": mask_bce,
+        "nse": _mean_nse(values_hat, true_vals),
     }
+
+
+def _reconstruction_scores(model, feat_hat, mask_prob, values, mask):
+    """(scaled RMSE, unscaled RMSE, mask BCE, decoded values) of a decoded
+    feature estimate against the observed values and mask; decoded
+    values are zeroed where the mask probability is at most 0.5."""
+    scaled_true = model.scaler.apply(values)
+    scaled_hat = scaled_attrs_from_features(feat_hat, model.dim)
+    rmse_scaled = float(np.sqrt(np.mean((scaled_hat - scaled_true) ** 2)))
+    values_hat = model.scaler.invert(scaled_hat) * (mask_prob > 0.5)
+    rmse_unscaled = float(np.sqrt(np.mean((values_hat - values) ** 2)))
+    mask_bce = bce_loss(mask_prob, mask.astype(float))
+    return rmse_scaled, rmse_unscaled, mask_bce, values_hat
+
+
+def _mean_nse(values_hat, obs):
+    """Mean NSE over the attributes whose observations vary; NaN when
+    none does."""
+    scores = [nse(values_hat[:, a], obs[:, a])
+              for a in range(obs.shape[1]) if obs[:, a].std() > 1e-12]
+    return float(np.mean(scores)) if scores else float("nan")
 
 
 def _node_key_seed(seed, name):

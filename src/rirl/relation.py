@@ -23,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import substream
-from .dataio import NodeSeries, kfold_split
-from .errors import DataError, TrainingError
-from .metrics import MetricRow, nse
+from .dataio import kfold_split
+from .errors import TrainingError
+from .metrics import MetricRow
 from .nn import (Adam, DenseLayer, LossReport, OptimizerState, adam_step,
                  bce_grad, bce_loss, mse_grad, mse_loss)
-from .noderepr import (decode_node, featurize_series, scaled_attrs_from_features)
+from .noderepr import (_mean_nse, _reconstruction_scores, decode_node,
+                       featurize_series)
 from .stats import gaussian_kld, gaussian_stats, kld_batch_grad
 
 
@@ -154,14 +155,11 @@ def train_micro_causal(causes, effect, dataset, config, models):
     relation = RelationModel(causes, effect, n, config.latent_dim,
                              config.hidden_width, rng)
 
-    step1_named = []
-    for c in causes:
-        for layer in cause_models[c].encoder_layers():
-            step1_named.extend(layer.parameters())
-    step1_named.extend(relation.parameters())
-    for layer in effect_model.decoder_layers():
-        step1_named.extend(layer.parameters())
-    adam1 = Adam(step1_named, lr=config.lr)
+    # step 1 updates the cause encoders, the relation and the effect
+    # decoder; parameters and gradients are listed in this one order
+    step1 = [layer for c in causes for layer in cause_models[c].encoder_layers()]
+    step1 += [relation] + effect_model.decoder_layers()
+    adam1 = Adam([p for layer in step1 for p in layer.parameters()], lr=config.lr)
     adam2 = Adam(effect_model.parameters(), lr=config.lr)
     adam3 = {c: Adam(cause_models[c].parameters(), lr=config.lr) for c in causes}
 
@@ -206,14 +204,7 @@ def train_micro_causal(causes, effect, dataset, config, models):
                 g = grad_x[:, pos:pos + span].reshape(ts.size * n, config.latent_dim)
                 cause_models[c].backward_encode(g)
                 pos += span
-            grads1 = []
-            for c in causes:
-                for layer in cause_models[c].encoder_layers():
-                    grads1.extend(layer.gradients())
-            grads1.extend(relation.gradients())
-            for layer in effect_model.decoder_layers():
-                grads1.extend(layer.gradients())
-            adam1.step(grads1)
+            adam1.step([g for layer in step1 for g in layer.gradients()])
             epoch_total.append(report.total)
 
             # step 2: effect self-reconstruction, never made worse
@@ -251,59 +242,18 @@ def evaluate_micro_causal(model, dataset, eff_feats, test_ts):
     latent_kld = gaussian_kld(gaussian_stats(v_hat), gaussian_stats(v_true))
     feat_hat, mask_prob = em.decode_latent(v_hat, cache=False)
     eff_series = dataset[effect]
-    scaled_true = em.scaler.apply(eff_series.values[test_ts])
-    scaled_hat = scaled_attrs_from_features(feat_hat, em.dim)
-    rmse_scaled = float(np.sqrt(np.mean((scaled_hat - scaled_true) ** 2)))
-    values_hat = em.scaler.invert(scaled_hat) * (mask_prob > 0.5)
-    rmse_unscaled = float(np.sqrt(np.mean((values_hat - eff_series.values[test_ts]) ** 2)))
-    mask_bce = bce_loss(mask_prob, eff_series.mask[test_ts].astype(float))
-    row = MetricRow(effect=effect, causes=",".join(model.causes),
-                    rmse_scaled=rmse_scaled, rmse_unscaled=rmse_unscaled,
-                    mask_bce=float(mask_bce), latent_kld=float(latent_kld))
-    return row
+    rmse_scaled, rmse_unscaled, mask_bce, _ = _reconstruction_scores(
+        em, feat_hat, mask_prob, eff_series.values[test_ts], eff_series.mask[test_ts])
+    return MetricRow(effect=effect, causes=",".join(model.causes),
+                     rmse_scaled=rmse_scaled, rmse_unscaled=rmse_unscaled,
+                     mask_bce=mask_bce, latent_kld=float(latent_kld))
 
 
 def micro_causal_nse(model, dataset, test_ts):
     """Mean held-out NSE of the decoded effect prediction, unscaled."""
     values_hat, _ = decode_node(model.effect_model,
                                 predict_latent(model, dataset, test_ts))
-    obs = dataset[model.relation.effect].values[test_ts]
-    scores = []
-    for a in range(obs.shape[1]):
-        if obs[:, a].std() > 1e-12:
-            scores.append(nse(values_hat[:, a], obs[:, a]))
-    return float(np.mean(scores))
-
-
-def relation_forward(model, cause_windows):
-    """(predicted effect latent, decoded effect values) for one window.
-
-    cause_windows maps each cause name to (values, months) with values
-    shaped (window_n, cause dim) and months in 1..12.
-    """
-    n = model.window_n
-    windows = {}
-    for c in model.causes:
-        if c not in cause_windows:
-            raise DataError(f"relation_forward: missing window for cause {c!r}")
-        vals, months = cause_windows[c]
-        vals = np.asarray(vals, dtype=float)
-        months = np.asarray(months, dtype=int)
-        cm = model.cause_models[c]
-        if vals.shape != (n, cm.dim) or months.shape != (n,):
-            raise DataError(
-                f"relation_forward: incomplete window for {c!r}: "
-                f"values {vals.shape}, months {months.shape}, need ({n}, {cm.dim})")
-        if not np.all(np.isfinite(vals)):
-            raise DataError(f"relation_forward: non-finite values in window for {c!r}")
-        if np.any((months < 1) | (months > 12)):
-            raise DataError(f"relation_forward: month outside 1..12 in window for {c!r}")
-        windows[c] = NodeSeries(name=c, values=vals, mask=(vals != 0.0).astype(np.uint8),
-                                months=months, dates=[])
-    # the window's n steps precede step n
-    v_hat = predict_latent(model, windows, np.array([n]))[0]
-    values, _mask = decode_node(model.effect_model, v_hat)
-    return v_hat, values
+    return _mean_nse(values_hat, dataset[model.relation.effect].values[test_ts])
 
 
 def _flat_views(buf, arrays):

@@ -131,17 +131,6 @@ def test_flags_override_the_config_file(workspace, tmp_path):
     assert lines["latent_dim"] == "4"      # file value survives
 
 
-def test_workers_environment_variable(workspace, tmp_path, monkeypatch,
-                                      capsys):
-    monkeypatch.setenv("RIRL_WORKERS", "not-a-number")
-    assert main(["synth", workspace["spec"], "--days", "30",
-                 "--out", str(tmp_path / "x.csv")]) == 2
-    assert "RIRL_WORKERS must be an integer" in capsys.readouterr().err
-    monkeypatch.setenv("RIRL_WORKERS", "1")
-    assert main(["synth", workspace["spec"], "--days", "30",
-                 "--out", str(tmp_path / "x.csv"), "--seed", "7"]) == 0
-
-
 def _nan_cell_copy(data, path):
     lines = open(data).read().split("\n")
     lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
@@ -186,6 +175,11 @@ def test_data_errors_exit_3(tmp_path, capsys):
     assert main(["init", "--data", str(tmp_path / "ghost.csv"),
                  "--out", str(tmp_path / "m")] + TINY_FLAGS) == 3
     assert "error:" in capsys.readouterr().err
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("date,A.a1,A.a0\n2000-01-01,1.0,2.0\n")
+    assert main(["init", "--data", str(swapped),
+                 "--out", str(tmp_path / "m")] + TINY_FLAGS) == 3
+    assert "out of order" in capsys.readouterr().err
 
 
 def test_bad_numbers_fail_at_load(workspace, tmp_path):

@@ -8,7 +8,7 @@ from rirl.dataio import DagSpec, NodeDef, Scaler, synth_generate
 from rirl.errors import ConfigError, ShapeError, TrainingError
 from rirl.nn import grad_check
 from rirl.noderepr import (FEATURE_LEN, NodeAutoencoder, decode_node,
-                           defeaturize, featurize, featurize_series,
+                           featurize, featurize_series,
                            scaled_attrs_from_features, train_node_autoencoder)
 
 
@@ -52,24 +52,14 @@ def test_featurize_rejects_bad_inputs():
 
 
 @given(st.data())
-def test_featurize_defeaturize_roundtrip_is_exact(data):
+def test_featurize_tiles_every_dimension_exactly(data):
     d = data.draw(st.integers(1, 12))
     month = data.draw(st.integers(1, 12))
     attrs = np.asarray(data.draw(st.lists(
         st.floats(-1e6, 1e6, allow_nan=False), min_size=d, max_size=d)))
-    back, back_month = defeaturize(featurize(attrs, month), d)
-    np.testing.assert_array_equal(back, attrs)
-    assert back_month == month
-
-
-def test_defeaturize_width_guard_and_batch_form():
-    with pytest.raises(ShapeError):
-        defeaturize(np.zeros(23), d=2)
-    batch = np.stack([featurize(np.array([1.0, 2.0]), 4),
-                      featurize(np.array([-1.0, 0.5]), 9)])
-    attrs, months = defeaturize(batch, d=2)
-    np.testing.assert_array_equal(attrs, [[1.0, 2.0], [-1.0, 0.5]])
-    np.testing.assert_array_equal(months, [4, 9])
+    feat = featurize(attrs, month)
+    np.testing.assert_array_equal(feat[:12], attrs[np.arange(12) % d])
+    np.testing.assert_array_equal(feat[12:], np.eye(12)[month - 1])
 
 
 def test_featurize_series_matches_per_row_calls(chain_dataset):
@@ -186,10 +176,3 @@ def test_training_is_deterministic(chain_dataset, tiny_config):
     assert r1 == r2
     np.testing.assert_array_equal(m1.enc1.W, m2.enc1.W)
     np.testing.assert_array_equal(m1.mask_head.b, m2.mask_head.b)
-
-
-def test_holdout_fold_changes_the_evaluation_slice(chain_dataset, tiny_config):
-    cfg = tiny_config
-    _, last = train_node_autoencoder(chain_dataset["A"], cfg)
-    _, first = train_node_autoencoder(chain_dataset["A"], cfg, holdout_fold=0)
-    assert first["rmse_scaled"] != last["rmse_scaled"]

@@ -6,14 +6,14 @@ import pytest
 
 from rirl import persistence
 from rirl.config import substream
-from rirl.dataio import Scaler
+from rirl.dataio import DagSpec, NodeDef, Scaler, synth_generate
 from rirl.errors import PersistenceError
 from rirl.metrics import MetricRow
-from rirl.noderepr import NodeAutoencoder, featurize
+from rirl.noderepr import NodeAutoencoder, decode_node, featurize
 from rirl.persistence import (SCHEMA_VERSION, load_micro_causal,
                               load_node_model, save_micro_causal,
                               save_node_model)
-from rirl.relation import MicroCausalModel, RelationModel, relation_forward
+from rirl.relation import MicroCausalModel, RelationModel, predict_latent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "node_G.json")
 
@@ -70,13 +70,14 @@ def test_micro_causal_roundtrips_with_identical_forward(tmp_path):
     assert (back.relation.causes, back.relation.effect) == \
         (model.relation.causes, model.relation.effect)
     assert back.metrics == model.metrics
-    rng = substream(4, "persist-window")
-    window = {"A": (rng.normal(size=(4, 2)),
-                    rng.integers(1, 13, size=4))}
-    v1, out1 = relation_forward(model, window)
-    v2, out2 = relation_forward(back, window)
+    data = synth_generate(DagSpec(nodes=[NodeDef("A", 2)], edges=[], seed=4), 40, 4)
+    ts = np.arange(4, 40)
+    v1 = predict_latent(model, data, ts)
+    v2 = predict_latent(back, data, ts)
     np.testing.assert_array_equal(v1, v2)
-    np.testing.assert_array_equal(out1, out2)
+    for got, want in zip(decode_node(back.effect_model, v2),
+                         decode_node(model.effect_model, v1)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_node_model_without_scaler_roundtrips(tmp_path):

@@ -6,13 +6,12 @@ from conftest import TINY_CONFIG, tiny_chain_spec
 
 from rirl.config import RunConfig, substream
 from rirl.dataio import Scaler, synth_generate
-from rirl.errors import DataError, TrainingError
+from rirl.errors import TrainingError
 from rirl.metrics import MetricRow
 from rirl.nn import Adam, grad_check, mse_grad, mse_loss
 from rirl.noderepr import train_node_autoencoder
 from rirl.relation import (MicroCausalModel, RelationModel, micro_causal_nse,
-                           relation_forward, train_micro_causal,
-                           train_relation_frozen)
+                           train_micro_causal, train_relation_frozen)
 from rirl.stats import gaussian_stats, kld_batch_grad
 
 
@@ -140,38 +139,6 @@ def test_training_and_scoring_use_the_models_stored_scalers(
     test_ts = np.arange(200, 260)
     assert micro_causal_nse(again, skewed, test_ts) == \
         micro_causal_nse(micro_model, chain_dataset, test_ts)
-
-
-# ------------------------------------------------------ window forward
-
-def test_relation_forward_runs_one_window(micro_model, chain_dataset):
-    n = micro_model.window_n
-    series = chain_dataset["A"]
-    window = (series.values[100:100 + n], series.months[100:100 + n])
-    v_hat, values = relation_forward(micro_model, {"A": window})
-    assert v_hat.shape == (micro_model.relation.latent_dim,)
-    assert values.shape == (chain_dataset["B"].dim,)
-    assert np.all(np.isfinite(v_hat))
-
-
-def test_relation_forward_rejects_bad_windows(micro_model, chain_dataset):
-    n = micro_model.window_n
-    series = chain_dataset["A"]
-    good = (series.values[:n], series.months[:n])
-    with pytest.raises(DataError, match="missing window"):
-        relation_forward(micro_model, {})
-    with pytest.raises(DataError, match="incomplete window"):
-        relation_forward(micro_model, {"A": (series.values[:n - 1],
-                                             series.months[:n - 1])})
-    broken = good[0].copy()
-    broken[0, 0] = np.nan
-    with pytest.raises(DataError, match="non-finite"):
-        relation_forward(micro_model, {"A": (broken, good[1])})
-    for bad_month in (0, 13):
-        months = good[1].copy()
-        months[0] = bad_month
-        with pytest.raises(DataError, match="month"):
-            relation_forward(micro_model, {"A": (good[0], months)})
 
 
 # ------------------------------------------------------- frozen fits
