@@ -3,23 +3,64 @@
 Every document carries schema_version and a kind tag. Loading checks
 both before touching the payload, and any structural problem raises
 PersistenceError rather than handing back a half-built model.
+
+Schema 2 stores each array as {"shape", "dtype": "<f8", "data"}, where
+data is the RFC 4648 base64 of the array's little-endian float64 bytes,
+so a save/load round trip gives back the same bits. Schema 1 stored
+arrays as nested lists of JSON numbers; it is still read.
 """
 
+import base64
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 
 from .coupling import Key
 from .dataio import Scaler
-from .errors import PersistenceError
+from .errors import ConfigError, PersistenceError
 from .metrics import MetricRow
 from .nn import DenseLayer
 from .noderepr import NodeAutoencoder
 from .relation import MicroCausalModel, RelationModel
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+READABLE_VERSIONS = (1, SCHEMA_VERSION)
+
+
+def _array_doc(a):
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "dtype": "<f8",
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _array_from_doc(doc, what, shape):
+    """The float64 array stored in doc, refused unless it has the given
+    shape and every value is finite. A list is a schema-1 array."""
+    if isinstance(doc, list):
+        a = np.asarray(doc, dtype=float)
+    else:
+        if doc["dtype"] != "<f8":
+            raise PersistenceError(
+                f"{what} has dtype {doc['dtype']!r}, expected '<f8'")
+        try:
+            raw = base64.b64decode(doc["data"], validate=True)
+        except ValueError as exc:  # binascii.Error is a ValueError
+            raise PersistenceError(f"{what} is not valid base64: {exc}") from exc
+        stored = tuple(int(n) for n in doc["shape"])
+        if len(raw) != 8 * math.prod(stored):
+            raise PersistenceError(
+                f"{what} holds {len(raw)} bytes, shape {stored} needs "
+                f"{8 * math.prod(stored)}")
+        # astype copies the read-only buffer into a writable native array
+        a = np.frombuffer(raw, dtype="<f8").astype(float).reshape(stored)
+    if a.shape != shape:
+        raise PersistenceError(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise PersistenceError(f"{what} holds a non-finite value")
+    return a
 
 
 def _layer_doc(layer):
@@ -27,20 +68,23 @@ def _layer_doc(layer):
         "in": layer.in_dim,
         "out": layer.out_dim,
         "activation": layer.activation,
-        "W": layer.W.tolist(),
-        "b": layer.b.tolist(),
+        "W": _array_doc(layer.W),
+        "b": _array_doc(layer.b),
     }
 
 
-def _layer_from_doc(doc):
-    layer = DenseLayer(int(doc["in"]), int(doc["out"]), doc["activation"])
-    W = np.asarray(doc["W"], dtype=float)
-    b = np.asarray(doc["b"], dtype=float)
-    if W.shape != layer.W.shape or b.shape != layer.b.shape:
-        raise PersistenceError(
-            f"layer weights have shape {W.shape}, expected {layer.W.shape}")
-    layer.W = W
-    layer.b = b
+def _layer_from_doc(doc, expected):
+    """The layer stored in doc, refused unless its arrays have the shapes
+    of expected, the freshly built model's own layer."""
+    try:
+        layer = DenseLayer(expected.in_dim, expected.out_dim,
+                           doc["activation"], name=expected.name)
+    except ConfigError as exc:
+        raise PersistenceError(f"layer {expected.name}: {exc}") from exc
+    layer.W = _array_from_doc(doc["W"], f"layer {expected.name} W",
+                              layer.W.shape)
+    layer.b = _array_from_doc(doc["b"], f"layer {expected.name} b",
+                              layer.b.shape)
     return layer
 
 
@@ -61,21 +105,27 @@ def _node_doc(model):
                    for name, layer in model.named_layers()},
     }
     if model.scaler is not None:
-        doc["scaler"] = {"mean": model.scaler.mean.tolist(),
-                         "std": model.scaler.std.tolist()}
+        doc["scaler"] = {"mean": _array_doc(model.scaler.mean),
+                         "std": _array_doc(model.scaler.std)}
     return doc
 
 
 def _node_from_doc(doc):
     try:
-        scaler = None
-        if doc["scaler"] is not None:
-            scaler = Scaler(np.asarray(doc["scaler"]["mean"], dtype=float),
-                            np.asarray(doc["scaler"]["std"], dtype=float))
         model = NodeAutoencoder(
             name=doc["name"], dim=int(doc["dim"]),
             latent_dim=int(doc["latent_dim"]), num_keys=int(doc["num_keys"]),
-            hidden=int(doc["hidden"]), scaler=scaler)
+            hidden=int(doc["hidden"]))
+        if doc["scaler"] is not None:
+            shape = (model.dim,)
+            model.scaler = Scaler(
+                _array_from_doc(doc["scaler"]["mean"],
+                                f"{model.name} scaler mean", shape),
+                _array_from_doc(doc["scaler"]["std"],
+                                f"{model.name} scaler std", shape))
+            if not (model.scaler.std > 0).all():
+                raise PersistenceError(
+                    f"{model.name} scaler std has a value <= 0")
         model.keys = tuple(
             Key(key_id=int(k["key_id"]), seed=int(k["seed"]),
                 a_s=float(k["a_s"]), g_s=float(k["g_s"]),
@@ -86,7 +136,7 @@ def _node_from_doc(doc):
             if name not in stored:
                 raise PersistenceError(f"model document is missing layer {name}")
         for name, layer in list(model.named_layers()):
-            setattr(model, name, _layer_from_doc(stored[name]))
+            setattr(model, name, _layer_from_doc(stored[name], layer))
         return model
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"corrupted node model document: {exc}") from exc
@@ -111,8 +161,8 @@ def _relation_from_doc(doc):
             window_n=int(doc["window_n"]), latent_dim=int(doc["latent_dim"]),
             hidden=int(doc["hidden"]),
             in_dim=int(doc["l1"]["in"]))
-        model.l1 = _layer_from_doc(doc["l1"])
-        model.l2 = _layer_from_doc(doc["l2"])
+        model.l1 = _layer_from_doc(doc["l1"], model.l1)
+        model.l2 = _layer_from_doc(doc["l2"], model.l2)
         return model
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"corrupted relation document: {exc}") from exc
@@ -149,7 +199,7 @@ def _write_doc(doc, path):
     tmp = os.path.join(parent, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh)
             fh.write("\n")
         os.replace(tmp, path)
     except OSError as exc:
@@ -171,10 +221,10 @@ def _read_doc(path, kind):
     if not isinstance(doc, dict):
         raise PersistenceError(f"{path} does not hold a model document")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version not in READABLE_VERSIONS:
         raise PersistenceError(
             f"{path} has schema_version {version!r}, this code reads "
-            f"{SCHEMA_VERSION}")
+            f"{' and '.join(map(str, READABLE_VERSIONS))}")
     if doc.get("kind") != kind:
         raise PersistenceError(
             f"{path} holds a {doc.get('kind')!r} document, expected {kind!r}")

@@ -38,6 +38,20 @@ def assert_close(a, b, tol, label=""):
     assert err <= tol, f"{label}: max abs err {err:.3e} > {tol:.1e}"
 
 
+def model_arrays(model):
+    """Every stored array of a node or micro-causal model, in a fixed
+    order, so two models can be compared bit for bit."""
+    if hasattr(model, "relation"):
+        nodes = [*model.cause_models.values(), model.effect_model]
+        layers = [model.relation.l1, model.relation.l2]
+        return ([a for m in nodes for a in model_arrays(m)]
+                + [a for layer in layers for a in (layer.W, layer.b)])
+    out = [a for _, layer in model.named_layers() for a in (layer.W, layer.b)]
+    if model.scaler is not None:
+        out += [model.scaler.mean, model.scaler.std]
+    return out
+
+
 ACCEPTANCE_LINES = []
 
 

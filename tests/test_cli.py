@@ -5,10 +5,13 @@ import os
 import shutil
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
-from conftest import tiny_chain_spec
+from conftest import model_arrays, tiny_chain_spec
 
+from rirl import persistence
 from rirl.cli import main
+from rirl.persistence import load_micro_causal, load_node_model
 
 TINY_FLAGS = ["--latent_dim", "4", "--num_keys", "1", "--hidden_width", "16",
               "--epochs", "2", "--explore_epochs", "2", "--batch_size", "32",
@@ -218,6 +221,51 @@ def test_persistence_errors_exit_6(workspace, tmp_path):
     assert main(["report", str(tmp_path / "run"), "--format", "csv",
                  "--data", workspace["data"],
                  "--models", str(tmp_path / "missing_models")]) == 6
+
+
+def test_corrupted_model_makes_explore_exit_6(workspace, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    doc = json.loads((models / "A.json").read_text())
+    doc["model"]["layers"]["enc1"]["W"]["data"] = "not*base64"
+    (models / "A.json").write_text(json.dumps(doc))
+    assert main(["explore", "--candidates", workspace["cands"],
+                 "--data", workspace["data"], "--models", str(models),
+                 "--out", str(tmp_path / "rep")] + TINY_FLAGS) == 6
+    assert "layer A.enc1 W is not valid base64" in capsys.readouterr().err
+
+
+def test_schema_1_and_2_model_files_give_the_same_run(workspace, tmp_path,
+                                                     monkeypatch):
+    """Both schemas store models exactly: init writes the same metrics
+    at either, and edge, which trains on the node models it reloads,
+    writes the same metrics and the same weights."""
+    runs = {}
+    for version in (1, 2):
+        out = str(tmp_path / f"v{version}")
+        with monkeypatch.context() as patch:
+            if version == 1:
+                patch.setattr(persistence, "SCHEMA_VERSION", 1)
+                patch.setattr(persistence, "_array_doc",
+                              lambda a: np.asarray(a, dtype=float).tolist())
+            assert main(["init", "--data", workspace["data"], "--out", out]
+                        + TINY_FLAGS) == 0
+            assert main(["edge", "--causes", "A", "--effect", "B", "--data",
+                         workspace["data"], "--models", out] + TINY_FLAGS) == 0
+        with open(os.path.join(out, "A.json")) as fh:
+            assert json.load(fh)["schema_version"] == version
+        runs[version] = out
+    for name in ("node_metrics.csv", "rel_A__B_metrics.csv"):
+        with open(os.path.join(runs[1], name), "rb") as v1, \
+                open(os.path.join(runs[2], name), "rb") as v2:
+            assert v1.read() == v2.read(), name
+    for name, load in (("A.json", load_node_model), ("B.json", load_node_model),
+                       ("rel_A__B.json", load_micro_causal)):
+        v1 = model_arrays(load(os.path.join(runs[1], name)))
+        v2 = model_arrays(load(os.path.join(runs[2], name)))
+        assert len(v1) == len(v2) > 0
+        for a, b in zip(v1, v2):
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
 
 
 def test_failed_model_write_exits_6_and_keeps_the_old_file(workspace, tmp_path,

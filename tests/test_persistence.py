@@ -1,8 +1,10 @@
+import base64
 import json
 import os
 
 import numpy as np
 import pytest
+from conftest import model_arrays
 
 from rirl import persistence
 from rirl.config import substream
@@ -16,6 +18,7 @@ from rirl.persistence import (SCHEMA_VERSION, load_micro_causal,
 from rirl.relation import MicroCausalModel, RelationModel, predict_latent
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "node_G.json")
+GOLDEN_V2 = os.path.join(os.path.dirname(__file__), "golden", "node_G_v2.json")
 
 
 def build_node_model(name="N", seed=31):
@@ -78,6 +81,38 @@ def test_micro_causal_roundtrips_with_identical_forward(tmp_path):
     for got, want in zip(decode_node(back.effect_model, v2),
                          decode_node(model.effect_model, v1)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_roundtrip_keeps_every_bit_of_edge_case_values(tmp_path):
+    planted = [-0.0, 5e-324, 2.2250738585072014e-308 / 3,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-300,
+               -1e300, 0.1, 1.0 / 3.0, np.nextafter(1.0, 2.0), 0.0, 2.0 ** -1074]
+    model = build_node_model()
+    model.enc2.W.flat[:len(planted)] = planted
+    path = str(tmp_path / "node.json")
+    save_node_model(model, path)
+    back = load_node_model(path)
+    assert back.enc2.W.tobytes() == model.enc2.W.tobytes()
+    assert np.signbit(back.enc2.W.flat[0])
+    for got, want in zip(model_arrays(back), model_arrays(model)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    micro = build_micro_model()
+    micro.relation.l1.W.flat[:4] = [-0.0, 5e-324, 1e300, -1e-300]
+    path = str(tmp_path / "micro.json")
+    save_micro_causal(micro, path)
+    back = load_micro_causal(path)
+    for got, want in zip(model_arrays(back), model_arrays(micro),
+                         strict=True):
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_loaded_arrays_are_writable(tmp_path):
+    path = str(tmp_path / "node.json")
+    save_node_model(build_node_model(), path)
+    for a in model_arrays(load_node_model(path)):
+        a += 0.0
 
 
 def test_node_model_without_scaler_roundtrips(tmp_path):
@@ -170,6 +205,75 @@ def test_load_flags_structural_damage(tmp_path):
         load_node_model(str(p3))
 
 
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _set_array(doc, path, values):
+    """Store values at doc[path] in the document's own array encoding."""
+    *parents, last = path
+    for step in parents:
+        doc = doc[step]
+    if isinstance(doc[last], list):
+        doc[last] = np.asarray(values, dtype=float).tolist()
+    else:
+        doc[last]["data"] = _b64(values)
+
+
+ENC2 = ("model", "layers", "enc2")
+CORRUPTIONS = {
+    "unknown activation": (
+        lambda d: d["model"]["layers"]["enc2"].update(activation="relu"),
+        r"layer G\.enc2: unknown activation 'relu'"),
+    "bad base64": (
+        lambda d: d["model"]["layers"]["enc1"]["W"].update(data="AAAA*AAA"),
+        "not valid base64"),
+    "byte count": (
+        lambda d: d["model"]["layers"]["enc2"]["W"].update(
+            data=_b64(np.zeros(11))),
+        r"holds 88 bytes, shape \(3, 4\) needs 96"),
+    "dtype": (
+        lambda d: d["model"]["layers"]["enc2"]["W"].update(dtype="<f4"),
+        "dtype '<f4', expected '<f8'"),
+    "shape": (
+        lambda d: d["model"]["layers"]["enc2"]["W"].update(shape=[4, 3]),
+        r"has shape \(4, 3\), expected \(3, 4\)"),
+    "nan weight": (
+        lambda d: _set_array(d, ENC2 + ("W",), np.full((3, 4), np.nan)),
+        r"layer G\.enc2 W holds a non-finite value"),
+    "inf bias": (
+        lambda d: _set_array(d, ENC2 + ("b",), [0.0, np.inf, 0.0]),
+        r"layer G\.enc2 b holds a non-finite value"),
+    "inf scaler mean": (
+        lambda d: _set_array(d, ("model", "scaler", "mean"), [-np.inf, 0.0]),
+        "G scaler mean holds a non-finite value"),
+    "zero scaler std": (
+        lambda d: _set_array(d, ("model", "scaler", "std"), [0.0, 1.5]),
+        "G scaler std has a value <= 0"),
+    "negative scaler std": (
+        lambda d: _set_array(d, ("model", "scaler", "std"), [2.0, -1.5]),
+        "G scaler std has a value <= 0"),
+}
+BOTH_SCHEMAS = ("nan weight", "inf bias", "inf scaler mean", "zero scaler std",
+                "negative scaler std", "unknown activation")
+
+
+@pytest.mark.parametrize("case,golden", [
+    *[pytest.param(c, GOLDEN_V2, id=f"v2-{c}") for c in CORRUPTIONS],
+    *[pytest.param(c, GOLDEN, id=f"v1-{c}") for c in BOTH_SCHEMAS],
+])
+def test_corrupted_documents_are_refused_at_load(tmp_path, case, golden):
+    corrupt, message = CORRUPTIONS[case]
+    with open(golden) as fh:
+        doc = json.load(fh)
+    corrupt(doc)
+    path = tmp_path / "corrupt.json"
+    # json.dumps writes NaN and Infinity literals, which json.load reads back
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PersistenceError, match=message):
+        load_node_model(str(path))
+
+
 def test_micro_causal_load_requires_every_cause_model(tmp_path):
     path = str(tmp_path / "micro.json")
     save_micro_causal(build_micro_model(), path)
@@ -201,3 +305,33 @@ def test_golden_document_still_loads_and_predicts_the_same():
     np.testing.assert_allclose(
         feat_hat[:2], [-0.00896546405287588, 0.020904870970653966],
         rtol=0, atol=1e-15)
+
+
+def test_golden_schema_2_document_predicts_the_schema_1_literals():
+    model = load_node_model(GOLDEN_V2)
+    assert model.name == "G" and model.dim == 2
+    feat = featurize(np.array([1.0, 2.0]), month=6, scaler=model.scaler)
+    z = model.encode(feat, cache=False)
+    np.testing.assert_allclose(
+        z, [0.6264175049865017, -0.0765460307980614, -0.0667232450589132],
+        rtol=0, atol=1e-15)
+    feat_hat, mask_prob = model.decode_latent(z, cache=False)
+    np.testing.assert_allclose(
+        mask_prob, [0.5220742355714473, 0.5252296425015668],
+        rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        feat_hat[:2], [-0.00896546405287588, 0.020904870970653966],
+        rtol=0, atol=1e-15)
+    for got, want in zip(model_arrays(model),
+                         model_arrays(load_node_model(GOLDEN)), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_resaving_the_schema_1_golden_reproduces_the_schema_2_file(tmp_path):
+    """The writer is deterministic: the committed schema-2 golden is the
+    schema-1 golden loaded and saved again."""
+    path = tmp_path / "node_G.json"
+    save_node_model(load_node_model(GOLDEN), str(path))
+    with open(GOLDEN_V2, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+    assert json.loads(path.read_text())["schema_version"] == SCHEMA_VERSION == 2
