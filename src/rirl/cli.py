@@ -22,7 +22,7 @@ from .errors import (CheckError, ConfigError, DataError, EstimationError,
                      TrainingError)
 from .explore import emit_round_log, explore
 from .metrics import emit_plot, emit_tables
-from .noderepr import featurize_series, scaled_attrs_from_features, train_node_autoencoder
+from .noderepr import decode_node, featurize_series, train_node_autoencoder
 from .persistence import (load_micro_causal, load_node_model,
                           save_micro_causal, save_node_model)
 from .relation import predict_latent, train_micro_causal
@@ -55,9 +55,24 @@ def _resolve_config(args):
     return config.override(**overrides)
 
 
-def _load_models(models_dir, names):
-    return {name: load_node_model(os.path.join(models_dir, f"{name}.json"))
-            for name in names}
+def _load_models(models_dir, names, dataset, config):
+    models = {name: load_node_model(os.path.join(models_dir, f"{name}.json"))
+              for name in names}
+    _check_models(models, dataset, config.latent_dim)
+    return models
+
+
+def _check_models(models, dataset, latent_dim=None):
+    """Refuse node models unfit for the data (DataError) or latent_dim (ConfigError)."""
+    for name, model in models.items():
+        if name not in dataset:
+            raise DataError(f"the data has no node {name!r}")
+        if dataset[name].dim != model.dim:
+            raise DataError(f"node {name!r} has {dataset[name].dim} attributes "
+                            f"in the data, its model has {model.dim}")
+        if latent_dim is not None and model.latent_dim != latent_dim:
+            raise ConfigError(f"latent_dim is {latent_dim}, the model of node "
+                              f"{name!r} has {model.latent_dim}")
 
 
 def _series_summary(series):
@@ -154,7 +169,7 @@ def cmd_edge(args):
     for name in causes + [args.effect]:
         if name not in dataset:
             raise ConfigError(f"unknown node name {name!r}")
-    models = _load_models(models_dir, causes + [args.effect])
+    models = _load_models(models_dir, causes + [args.effect], dataset, config)
     model = train_micro_causal(causes, args.effect, dataset, config, models)
     label = _relation_label(causes, args.effect)
     path = os.path.join(models_dir, f"rel_{label}.json")
@@ -174,15 +189,8 @@ def cmd_explore(args):
     if not data or not models_dir:
         raise ConfigError("explore needs --data and --models (or config paths)")
     dataset = load_csv(data)
-    with open(args.candidates, "r", encoding="utf-8") as fh:
-        candidates = json.load(fh)
-    if not isinstance(candidates, dict):
-        raise ConfigError("candidate map must be a JSON object")
-    for n, parents in candidates.items():
-        for name in [n] + list(parents):
-            if name not in dataset:
-                raise ConfigError(f"unknown node name {name!r} in candidate map")
-    models = _load_models(models_dir, list(dataset))
+    candidates = _load_candidates(args.candidates, dataset)
+    models = _load_models(models_dir, list(dataset), dataset, config)
     edges, state = explore(list(dataset), candidates, data=dataset,
                            config=config, models=models)
     out = args.out or config.reports_path
@@ -213,6 +221,25 @@ def cmd_explore(args):
     print(f"stop: {state.stop_reason}; evals={state.evals_computed} "
           f"reused={state.evals_reused}")
     return 0
+
+
+def _load_candidates(path, dataset):
+    """The candidate map in path: a JSON object from node name to a list
+    of allowed parent names, every one a node of dataset."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            candidates = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read candidate map {path}: {exc}") from exc
+    if not isinstance(candidates, dict):
+        raise ConfigError("candidate map must be a JSON object")
+    for n, parents in candidates.items():
+        if not isinstance(parents, list):
+            raise ConfigError(f"candidate map: the parents of {n!r} must be a list")
+        for name in [n] + parents:
+            if not isinstance(name, str) or name not in dataset:
+                raise ConfigError(f"unknown node name {name!r} in candidate map")
+    return candidates
 
 
 def cmd_report(args):
@@ -253,6 +280,8 @@ def cmd_report(args):
     else:
         for fname in rel_files:
             model = load_micro_causal(os.path.join(models_dir, fname))
+            _check_models({**model.cause_models,
+                           model.relation.effect: model.effect_model}, dataset)
             written.extend(_reconstruction_plot(model, dataset, config, run_dir))
     if not written:
         raise PersistenceError(f"nothing to report from {models_dir}")
@@ -282,11 +311,8 @@ def _reconstruction_plot(model, dataset, config, run_dir):
     feats_eff = featurize_series(series, em.scaler)
     truth = series.values[test_ts, 0]
 
-    self_hat, _ = em.decode_latent(em.encode(feats_eff[test_ts], cache=False),
-                                   cache=False)
-    self_vals = em.scaler.invert(scaled_attrs_from_features(self_hat, em.dim))
-    rel_hat, _ = em.decode_latent(predict_latent(model, dataset, test_ts), cache=False)
-    rel_vals = em.scaler.invert(scaled_attrs_from_features(rel_hat, em.dim))
+    self_vals, _ = decode_node(em, em.encode(feats_eff[test_ts], cache=False))
+    rel_vals, _ = decode_node(em, predict_latent(model, dataset, test_ts))
 
     base = os.path.join(run_dir, f"plot_{effect}")
     svg, csv_path = emit_plot(truth,

@@ -65,27 +65,34 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         """Parse a flat key=value document (# starts a comment)."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         values = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                values[key] = raw
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            values[key] = raw
         return cls.from_strings(values)
 
     @classmethod
     def from_strings(cls, values):
         kwargs = {}
-        converters = {int: _parse_int, float: _parse_float, str: str}
-        declared = {f.name: f for f in fields(cls)}
+        declared = {f.name: f.type for f in fields(cls)}
         for key, raw in values.items():
             if key not in declared:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[key] = converters[declared[key].type](raw)
+            try:
+                kwargs[key] = declared[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: expected "
+                                  f"{declared[key].__name__}, got {raw!r}") from exc
         return cls(**kwargs)
 
     def override(self, **values):
@@ -102,22 +109,6 @@ class RunConfig:
         with open(path, "w", encoding="utf-8") as fh:
             for f in fields(self):
                 fh.write(f"{f.name} = {getattr(self, f.name)}\n")
-
-
-def _parse_int(raw):
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected integer, got {raw!r}") from exc
-
-
-def _parse_float(raw):
-    try:
-        if raw in ("inf", "+inf"):
-            return math.inf
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected number, got {raw!r}") from exc
 
 
 def substream(seed, *labels):

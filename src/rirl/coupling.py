@@ -79,14 +79,9 @@ def _sorted_keys(keys):
     return sorted(keys, key=lambda k: k.key_id)
 
 
-def expand(x, keys):
-    """Expand a length-L0 vector to K * L0^2 values (row-major grids,
-    keys in ascending key_id order)."""
-    out = expand_batch(np.asarray(x, dtype=float)[None, :], keys)
-    return out[0]
-
-
 def expand_batch(X, keys):
+    """Expand each row of a (B, L0) batch to K * L0^2 values (row-major
+    grids, keys in ascending key_id order)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"expand_batch: expected 2-D batch, got ndim={X.ndim}")
@@ -107,11 +102,8 @@ def expand_batch(X, keys):
 
 def _grid_view(e, keys):
     e = np.asarray(e, dtype=float)
-    squeeze = e.ndim == 1
-    if squeeze:
-        e = e[None, :]
     if e.ndim != 2:
-        raise ShapeError(f"reduce: expected 1-D or 2-D input, got ndim={e.ndim}")
+        raise ShapeError(f"reduce: expected a 2-D batch, got ndim={e.ndim}")
     ks = _sorted_keys(keys)
     K = len(ks)
     if e.shape[1] % K != 0:
@@ -120,7 +112,7 @@ def _grid_view(e, keys):
     L0 = int(round(np.sqrt(per_key)))
     if L0 * L0 != per_key or L0 < 2:
         raise ShapeError(f"reduce: per-key length {per_key} is not a square grid")
-    return e.reshape(e.shape[0], K, L0, L0), ks, L0, squeeze
+    return e.reshape(e.shape[0], K, L0, L0), ks, L0
 
 
 def reduce(e, keys):
@@ -130,7 +122,7 @@ def reduce(e, keys):
     copy grid[j, j] plus, for every i != j, eta_inv applied with the
     diagonal entry grid[i, i] as the conditioner.
     """
-    grids, ks, L0, squeeze = _grid_view(e, keys)
+    grids, ks, L0 = _grid_view(e, keys)
     B, K = grids.shape[0], grids.shape[1]
     diag_idx = np.arange(L0)
     acc = np.zeros((B, L0))
@@ -140,8 +132,7 @@ def reduce(e, keys):
         inv = (g - t_fn(d, key)[:, :, None]) * np.exp(-s_fn(d, key))[:, :, None]
         col_sum = inv.sum(axis=1) - inv[:, diag_idx, diag_idx]
         acc += col_sum + d
-    out = acc / (K * L0)
-    return out[0] if squeeze else out
+    return acc / (K * L0)
 
 
 def reduce_backward(grad_out, e, keys):
@@ -151,11 +142,9 @@ def reduce_backward(grad_out, e, keys):
     entries collect three contributions: the direct diagonal copy and,
     through s and t, the conditioning of every other column in the row.
     """
-    grids, ks, L0, squeeze = _grid_view(e, keys)
+    grids, ks, L0 = _grid_view(e, keys)
     B, K = grids.shape[0], grids.shape[1]
     g_out = np.asarray(grad_out, dtype=float)
-    if squeeze:
-        g_out = g_out[None, :]
     if g_out.shape != (B, L0):
         raise ShapeError(f"reduce_backward: grad shape {g_out.shape} != {(B, L0)}")
     scale = 1.0 / (K * L0)
@@ -180,5 +169,4 @@ def reduce_backward(grad_out, e, keys):
         cond = scale * es * (-dt * row_sum_g - ds * weighted)
         gk[:, diag_idx, diag_idx] = scale * g_out + cond
         grad[:, k] = gk
-    out = grad.reshape(B, K * L0 * L0)
-    return out[0] if squeeze else out
+    return grad.reshape(B, K * L0 * L0)

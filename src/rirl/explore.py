@@ -14,9 +14,9 @@ smallest delta wins and ties break lexicographically.
 Each round first computes the K values its candidates need that no
 earlier round computed, in candidate order, through an injected
 strength function, serially, or on a process pool, and caches them by
-(sorted causes, effect). An edge's evaluation is reused while its
-target's parent set is unchanged; once a selection extends that set,
-the evaluation is stale and is rebuilt from the cache.
+(sorted causes, effect), from which every round reads each edge's gain.
+An edge's evaluation counts as reused while its target's parent set is
+unchanged, and as stale and computed again once a selection extends it.
 """
 
 from concurrent.futures.process import BrokenProcessPool
@@ -30,15 +30,6 @@ from .errors import ExplorationError
 from .noderepr import featurize_series
 from .relation import train_relation_frozen
 from .stats import gaussian_kld_from_batches
-
-
-@dataclass
-class CandidateEval:
-    edge: tuple
-    beta: frozenset
-    k_with: float
-    k_without: float
-    delta: float
 
 
 @dataclass
@@ -67,7 +58,6 @@ class ExplorationState:
     reachable: set = field(default_factory=set)
     rounds: list = field(default_factory=list)
     k_cache: dict = field(default_factory=dict)
-    eval_cache: dict = field(default_factory=dict)
     stop_reason: str = ""
     evals_computed: int = 0
     evals_reused: int = 0
@@ -257,27 +247,23 @@ def explore(nodes, candidates, data=None, config=None, models=None,
             for key, value in zip(missing, values):
                 state.k_cache[key] = _checked(key, value)
 
+            # an edge stays listed until it is picked or would close a cycle, so
+            # its target's parents changed only if the last pick targeted it
+            last_target = state.edges[-1][1] if state.edges else None
             entries = []
             for p, n in cands:
                 beta = frozenset(selected_parents.get(n, set()))
-                cached = state.eval_cache.get((p, n))
-                reused = cached is not None and cached.beta == beta
+                listed = (p, n) in ever_candidate
+                reused = listed and n != last_target
                 if reused:
-                    ev = cached
                     state.evals_reused += 1
                 else:
-                    if cached is not None:
-                        state.stale_reuses += 1
-                    ev = CandidateEval(edge=(p, n), beta=beta,
-                                       k_with=cached_k(beta | {p}, n),
-                                       k_without=cached_k(beta, n),
-                                       delta=kld_gain(beta, p, n, cached_k))
-                    state.eval_cache[(p, n)] = ev
                     state.evals_computed += 1
+                    state.stale_reuses += int(listed)
                 entries.append(RoundEntry(
-                    edge=(p, n), delta=ev.delta, k_with=ev.k_with,
-                    k_without=ev.k_without, new=(p, n) not in ever_candidate,
-                    reused=reused))
+                    edge=(p, n), delta=kld_gain(beta, p, n, cached_k),
+                    k_with=cached_k(beta | {p}, n), k_without=cached_k(beta, n),
+                    new=not listed, reused=reused))
                 ever_candidate.add((p, n))
 
             best = min(entries, key=lambda e: (e.delta, e.edge))

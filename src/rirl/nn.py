@@ -1,7 +1,7 @@
 """Dense layers, losses, the Adam optimizer, and gradient verification.
 
-All math runs in float64 on plain numpy arrays. Batches are 2-D with one
-sample per row; 1-D inputs are promoted and squeezed back on the way out.
+All math runs in float64 on plain numpy arrays. Layers take 2-D batches
+only, one sample per row; a single sample is a one-row batch.
 Backward passes are hand-derived, so grad_check below is the safety net
 every layered model in the package is tested against.
 """
@@ -73,15 +73,14 @@ class DenseLayer:
         self._a = None
 
     def forward(self, x, cache=True):
-        x2, squeeze = _promote(x)
-        if x2.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"{self.name}: input width {x2.shape[1]} != {self.in_dim}")
-        z = x2 @ self.W.T + self.b
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise ShapeError(f"{self.name}: input shape {x.shape} is not (B, {self.in_dim})")
+        z = x @ self.W.T + self.b
         a = _activate(self.activation, z)
         if cache:
-            self._x, self._z, self._a = x2, z, a
-        return a[0] if squeeze else a
+            self._x, self._z, self._a = x, z, a
+        return a
 
     def backward(self, grad_out):
         """Accumulate parameter gradients and return the input gradient.
@@ -91,12 +90,12 @@ class DenseLayer:
         """
         if self._x is None:
             raise ShapeError(f"{self.name}: backward before forward")
-        g2, squeeze = _promote(grad_out)
-        gz = g2 * _activate_grad(self.activation, self._z, self._a)
+        if np.shape(grad_out) != self._z.shape:
+            raise ShapeError(f"{self.name}: grad shape {np.shape(grad_out)} != {self._z.shape}")
+        gz = grad_out * _activate_grad(self.activation, self._z, self._a)
         self.gW += gz.T @ self._x
         self.gb += gz.sum(axis=0)
-        gx = gz @ self.W
-        return gx[0] if squeeze else gx
+        return gz @ self.W
 
     def zero_grads(self):
         self.gW.fill(0.0)
@@ -107,15 +106,6 @@ class DenseLayer:
 
     def gradients(self):
         return [self.gW, self.gb]
-
-
-def _promote(x):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ShapeError(f"expected 1-D or 2-D array, got ndim={arr.ndim}")
 
 
 def mse_loss(pred, target):

@@ -32,19 +32,17 @@ def _slot_map(d):
 
 
 def featurize(raw, month, scaler=None):
-    """Feature row(s): scaled attributes tiled into 12 slots, then the
-    month one-hot. raw is one attribute vector with one month, or a
-    (T, d) batch with T months."""
+    """(T, 24) feature rows of a (T, d) attribute batch and its T months:
+    scaled attributes tiled into 12 slots, then the month one-hot."""
     raw = np.asarray(raw, dtype=float)
     months = np.asarray(month, dtype=int)
-    if raw.ndim not in (1, 2) or months.shape != raw.shape[:-1]:
-        raise ShapeError("featurize expects one attribute vector and one month, "
-                         "or a (T, d) batch and T months")
-    sel = _slot_map(raw.shape[-1])
+    if raw.ndim != 2 or months.shape != raw.shape[:1]:
+        raise ShapeError(f"featurize: shapes {raw.shape}, {months.shape} are not (T, d), (T,)")
+    sel = _slot_map(raw.shape[1])
     if np.any((months < 1) | (months > 12)):
         raise ConfigError(f"month must be 1..12, got {months.min()}..{months.max()}")
     scaled = scaler.apply(raw) if scaler is not None else raw
-    return np.concatenate([scaled[..., sel], np.eye(SLOTS)[months - 1]], axis=-1)
+    return np.concatenate([scaled[:, sel], np.eye(SLOTS)[months - 1]], axis=1)
 
 
 def featurize_series(series, scaler=None):
@@ -54,13 +52,13 @@ def featurize_series(series, scaler=None):
                      scaler if scaler is not None else series.scaler)
 
 
-def scaled_attrs_from_features(feature, d):
-    """Tile-averaged scaled attributes, no scaler inversion."""
-    feature = np.asarray(feature, dtype=float)
-    feat = feature[None, :] if feature.ndim == 1 else feature
+def scaled_attrs_from_features(features, d):
+    """(B, d) tile-averaged scaled attributes of (B, 24) feature rows."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise ShapeError(f"scaled_attrs_from_features: shape {features.shape} is not (B, 24)")
     sel = _slot_map(d)
-    attrs = np.stack([feat[:, :SLOTS][:, sel == a].mean(axis=1) for a in range(d)], axis=1)
-    return attrs[0] if feature.ndim == 1 else attrs
+    return np.stack([features[:, :SLOTS][:, sel == a].mean(axis=1) for a in range(d)], axis=1)
 
 
 class NodeAutoencoder:
@@ -118,60 +116,48 @@ class NodeAutoencoder:
             layer.zero_grads()
 
     def encode(self, features, cache=True):
-        grid = expand_batch(np.atleast_2d(np.asarray(features, dtype=float)),
-                            self.keys)
-        latent = self.enc2.forward(self.enc1.forward(grid, cache=cache), cache=cache)
-        if np.asarray(features).ndim == 1:
-            return latent[0]
-        return latent
+        """(B, latent_dim) latents of (B, 24) feature rows."""
+        grid = expand_batch(features, self.keys)
+        return self.enc2.forward(self.enc1.forward(grid, cache=cache), cache=cache)
 
     def decode_latent(self, latent, cache=True):
-        """(feature estimate, mask probabilities); caches for backward."""
-        lat = np.atleast_2d(np.asarray(latent, dtype=float))
-        h = self.dec1.forward(lat, cache=cache)
+        """(feature estimate, mask probabilities) of (B, L) latents; caches for backward."""
+        h = self.dec1.forward(latent, cache=cache)
         grid = self.value_head.forward(h, cache=cache)
         mask_prob = self.mask_head.forward(h, cache=cache)
         feat_hat = reduce(grid, self.keys)
         if cache:
             self._grid = grid
-        if np.asarray(latent).ndim == 1:
-            return feat_hat[0], mask_prob[0]
         return feat_hat, mask_prob
 
     def backward_decode(self, grad_feat_hat, grad_mask_prob=None):
-        grad_grid = reduce_backward(np.atleast_2d(grad_feat_hat), self._grid, self.keys)
+        grad_grid = reduce_backward(grad_feat_hat, self._grid, self.keys)
         grad_h = self.value_head.backward(grad_grid)
         if grad_mask_prob is not None:
-            grad_h = grad_h + self.mask_head.backward(np.atleast_2d(grad_mask_prob))
+            grad_h = grad_h + self.mask_head.backward(grad_mask_prob)
         return self.dec1.backward(grad_h)
 
     def backward_encode(self, grad_latent):
-        self.enc1.backward(self.enc2.backward(np.atleast_2d(grad_latent)))
+        self.enc1.backward(self.enc2.backward(grad_latent))
 
     def loss_and_grads(self, features, mask_target, lambda_mask=1.0):
-        """Self-reconstruction loss and gradients for every parameter."""
+        """Self-reconstruction loss and gradients of (B, 24) feature rows."""
         self.zero_grads()
-        feats = np.atleast_2d(np.asarray(features, dtype=float))
-        target_mask = np.atleast_2d(np.asarray(mask_target, dtype=float))
-        latent = self.encode(feats, cache=True)
+        latent = self.encode(features, cache=True)
         feat_hat, mask_prob = self.decode_latent(latent, cache=True)
-        value_loss = mse_loss(feat_hat, feats)
-        mask_loss = bce_loss(mask_prob, target_mask)
+        value_loss = mse_loss(feat_hat, features)
+        mask_loss = bce_loss(mask_prob, mask_target)
         grad_latent = self.backward_decode(
-            mse_grad(feat_hat, feats),
-            lambda_mask * bce_grad(mask_prob, target_mask))
+            mse_grad(feat_hat, features),
+            lambda_mask * bce_grad(mask_prob, mask_target))
         self.backward_encode(grad_latent)
         report = LossReport.build(value_loss, mask_loss, 0.0, lambda_mask, 0.0)
         return report, self.gradients()
 
 
 def decode_node(model, latent):
-    """Decode to engineering units: (values with sub-threshold attributes
-    zeroed, mask probabilities)."""
-    latent = np.asarray(latent, dtype=float)
-    width = latent.shape[-1] if latent.ndim else 0
-    if width != model.latent_dim:
-        raise ShapeError(f"decode_node: latent width {width} != {model.latent_dim}")
+    """Decode (B, latent_dim) latents to engineering units: (values with
+    sub-threshold attributes zeroed, mask probabilities)."""
     feat_hat, mask_prob = model.decode_latent(latent, cache=False)
     attrs = scaled_attrs_from_features(feat_hat, model.dim)
     if model.scaler is not None:

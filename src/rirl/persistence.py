@@ -159,8 +159,7 @@ def _relation_from_doc(doc):
         model = RelationModel(
             causes=list(doc["causes"]), effect=doc["effect"],
             window_n=int(doc["window_n"]), latent_dim=int(doc["latent_dim"]),
-            hidden=int(doc["hidden"]),
-            in_dim=int(doc["l1"]["in"]))
+            hidden=int(doc["hidden"]))
         model.l1 = _layer_from_doc(doc["l1"], model.l1)
         model.l2 = _layer_from_doc(doc["l2"], model.l2)
         return model

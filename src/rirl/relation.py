@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import substream
 from .dataio import kfold_split
-from .errors import TrainingError
+from .errors import ShapeError, TrainingError
 from .metrics import MetricRow
 from .nn import (Adam, DenseLayer, LossReport, OptimizerState, adam_step,
                  bce_grad, bce_loss, mse_grad, mse_loss)
@@ -36,15 +36,13 @@ from .stats import gaussian_kld, gaussian_stats, kld_batch_grad
 class RelationModel:
     """Dense stack from concatenated cause windows to the effect latent."""
 
-    def __init__(self, causes, effect, window_n, latent_dim, hidden, rng=None,
-                 in_dim=None):
+    def __init__(self, causes, effect, window_n, latent_dim, hidden, rng=None):
         self.causes = tuple(causes)
         self.effect = effect
         self.window_n = int(window_n)
         self.latent_dim = int(latent_dim)
         self.hidden = int(hidden)
-        self.in_dim = in_dim if in_dim is not None else \
-            len(self.causes) * self.window_n * self.latent_dim
+        self.in_dim = len(self.causes) * self.window_n * self.latent_dim
         label = f"rel[{'+'.join(self.causes)}->{effect}]"
         self.l1 = DenseLayer(self.in_dim, hidden, "tanh", rng, name=f"{label}.l1")
         self.l2 = DenseLayer(hidden, latent_dim, "identity", rng, name=f"{label}.l2")
@@ -271,7 +269,8 @@ def train_relation_frozen(x_train, v_train, config, rng, causes=("x",), effect="
     Exploration evaluates many candidate relations; with the node
     encoders frozen this reduces to a small supervised fit in latent
     space (MSE plus the KLD batch penalty), which keeps strength
-    evaluation cheap without touching the scoring semantics.
+    evaluation cheap without touching the scoring semantics. Each row
+    of x_train holds len(causes) * window_n * latent_dim cause latents.
 
     Each batch is one inline forward and backward pass over a single
     flat parameter vector and a single flat gradient, of which the
@@ -282,7 +281,9 @@ def train_relation_frozen(x_train, v_train, config, rng, causes=("x",), effect="
     x_train = np.asarray(x_train, dtype=float)
     v_train = np.asarray(v_train, dtype=float)
     relation = RelationModel(causes, effect, config.window_n, config.latent_dim,
-                             config.hidden_width, rng, in_dim=x_train.shape[1])
+                             config.hidden_width, rng)
+    if x_train.shape[1] != relation.in_dim:
+        raise ShapeError(f"frozen fit: input width {x_train.shape[1]} != {relation.in_dim}")
     l1, l2 = relation.l1, relation.l2
     arrays = [l1.W, l1.b, l2.W, l2.b]
     theta = np.concatenate([arr.ravel() for arr in arrays])

@@ -15,7 +15,7 @@ from conftest import ACCEPTANCE_LINES
 
 from rirl.cli import main
 from rirl.config import RunConfig, substream
-from rirl.coupling import expand, expand_batch, make_keys, reduce
+from rirl.coupling import expand_batch, make_keys, reduce
 from rirl.dataio import DagSpec, EdgeDef, NodeDef, kfold_split, synth_generate
 from rirl.explore import StrengthContext, causal_strength, explore, kld_gain
 from rirl.nn import grad_check, mse_grad, mse_loss
@@ -43,9 +43,9 @@ def test_criterion_01_coupling_roundtrip_exact_and_fast():
 
 
 def test_criterion_02_expansion_width():
-    x = substream(4242, "acc-grid").normal(size=24)
-    one = expand(x, make_keys(5, 1)).size
-    four = expand(x, make_keys(5, 4)).size
+    x = substream(4242, "acc-grid").normal(size=(1, 24))
+    one = expand_batch(x, make_keys(5, 1)).size
+    four = expand_batch(x, make_keys(5, 4)).size
     record(one == 576 and four == 2304, 2, "expansion arithmetic",
            f"24 -> {one} with one key, {four} with four")
 
@@ -55,7 +55,7 @@ def test_criterion_03_gradients_at_full_width():
     rng = substream(4242, "acc-grad-data")
     vals = rng.normal(size=(6, 3))
     months = rng.integers(1, 13, size=6)
-    feats = np.stack([featurize(v, m) for v, m in zip(vals, months)])
+    feats = featurize(vals, months)
     target_mask = (np.abs(vals) > 0.4).astype(float)
 
     def node_loss(m, inp):

@@ -11,7 +11,10 @@ from conftest import model_arrays, tiny_chain_spec
 
 from rirl import persistence
 from rirl.cli import main
+from rirl.dataio import kfold_split, load_csv
+from rirl.noderepr import decode_node, featurize_series
 from rirl.persistence import load_micro_causal, load_node_model
+from rirl.relation import predict_latent
 
 TINY_FLAGS = ["--latent_dim", "4", "--num_keys", "1", "--hidden_width", "16",
               "--epochs", "2", "--explore_epochs", "2", "--batch_size", "32",
@@ -99,6 +102,23 @@ def test_report_writes_tables_and_plots(workspace):
     assert os.path.exists(os.path.join(run_dir, "plot_B.csv"))
 
 
+def test_report_plots_what_decode_node_returns(workspace):
+    """Both plotted lines are decode_node's mask-gated values: of the
+    relation's prediction and of the effect's own encoding."""
+    model = load_micro_causal(os.path.join(workspace["models"], "rel_A__B.json"))
+    dataset = load_csv(workspace["data"])
+    lo, hi = kfold_split(dataset["B"].steps, 4).bounds[-1]
+    test_ts = np.arange(max(lo, model.window_n), hi)
+    em = model.effect_model
+    relation, _ = decode_node(em, predict_latent(model, dataset, test_ts))
+    feats = featurize_series(dataset["B"], em.scaler)[test_ts]
+    initialized, _ = decode_node(em, em.encode(feats, cache=False))
+    with open(os.path.join(workspace["run_dir"], "plot_B.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["relation"]) for r in rows] == relation[:, 0].tolist()
+    assert [float(r["initialized"]) for r in rows] == initialized[:, 0].tolist()
+
+
 def test_synth_prints_a_summary_table(workspace, capsys, tmp_path):
     out = str(tmp_path / "again.csv")
     assert main(["synth", workspace["spec"], "--days", "120", "--out", out,
@@ -172,6 +192,67 @@ def test_config_errors_exit_2(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "rep")] + TINY_FLAGS) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 5
+
+
+def _drop_column(data, path, column):
+    rows = [line.split(",") for line in open(data).read().strip().split("\n")]
+    keep = [i for i, name in enumerate(rows[0]) if name != column]
+    path.write_text("\n".join(",".join(r[i] for i in keep) for r in rows) + "\n")
+    return str(path)
+
+
+def _cands_file(tmp_path, text):
+    path = tmp_path / "cands.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _explore_argv(ws, tmp_path, cands=None, data=None):
+    return ["explore", "--candidates", cands or ws["cands"], "--data",
+            data or ws["data"], "--models", ws["models"],
+            "--out", str(tmp_path / "rep")] + TINY_FLAGS
+
+
+def _edge_argv(ws, data=None):
+    return ["edge", "--causes", "A", "--effect", "B", "--data", data or ws["data"],
+            "--models", ws["models"]] + TINY_FLAGS
+
+
+def _one_attribute_a(ws, tmp_path):
+    return _drop_column(ws["data"], tmp_path / "narrow.csv", "A.a1")
+
+
+BAD_OUTSIDE_INPUT = {
+    "missing candidate map": (2, lambda ws, tmp: _explore_argv(
+        ws, tmp, str(tmp / "ghost.json"))),
+    "candidate map not JSON": (2, lambda ws, tmp: _explore_argv(
+        ws, tmp, _cands_file(tmp, '{"B": ['))),
+    "parents a number": (2, lambda ws, tmp: _explore_argv(
+        ws, tmp, _cands_file(tmp, '{"B": 5}'))),
+    "parents a string": (2, lambda ws, tmp: _explore_argv(
+        ws, tmp, _cands_file(tmp, '{"B": "A"}'))),
+    "parent name a list": (2, lambda ws, tmp: _explore_argv(
+        ws, tmp, _cands_file(tmp, '{"B": [["A"]]}'))),
+    "missing config file": (2, lambda ws, tmp: _explore_argv(ws, tmp)
+                            + ["--config", str(tmp / "ghost.cfg")]),
+    "edge latent_dim": (2, lambda ws, tmp: _edge_argv(ws) + ["--latent_dim", "3"]),
+    "explore latent_dim": (2, lambda ws, tmp: _explore_argv(ws, tmp)
+                           + ["--latent_dim", "3"]),
+    "edge attribute count": (3, lambda ws, tmp: _edge_argv(ws, _one_attribute_a(ws, tmp))),
+    "explore attribute count": (3, lambda ws, tmp: _explore_argv(
+        ws, tmp, data=_one_attribute_a(ws, tmp))),
+    "svg report attribute count": (3, lambda ws, tmp: [
+        "report", str(tmp / "run"), "--format", "svg", "--data",
+        _one_attribute_a(ws, tmp), "--models", ws["models"]]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_OUTSIDE_INPUT))
+def test_bad_outside_input_fails_at_load_with_its_exit_code(workspace, tmp_path,
+                                                            capsys, case):
+    code, argv = BAD_OUTSIDE_INPUT[case]
+    assert main(argv(workspace, tmp_path)) == code
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_data_errors_exit_3(tmp_path, capsys):

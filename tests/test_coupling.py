@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rirl.coupling import (Key, S_GAIN_BOUND, eta, eta_inv, expand,
-                           expand_batch, make_keys, reduce, reduce_backward,
-                           s_fn, t_fn)
+from rirl.coupling import (Key, S_GAIN_BOUND, eta, eta_inv, expand_batch,
+                           make_keys, reduce, reduce_backward, s_fn, t_fn)
 from rirl.errors import ConfigError, ShapeError
 
 HAND_KEY = Key(key_id=0, seed=0, a_s=0.5, g_s=1.5, a_t=-0.7, g_t=0.9)
@@ -56,15 +55,15 @@ def test_make_keys_deterministic_and_bounded():
 def test_expansion_counts():
     keys = make_keys(5, 1)
     x = np.arange(24, dtype=float)
-    assert expand(x, keys).shape == (576,)
-    assert expand(x, make_keys(5, 4)).shape == (2304,)
+    assert expand_batch(x[None], keys).shape == (1, 576)
+    assert expand_batch(x[None], make_keys(5, 4)).shape == (1, 2304)
     assert expand_batch(np.tile(x, (3, 1)), keys).shape == (3, 576)
 
 
 def test_expansion_grid_layout():
     keys = make_keys(9, 2)
     x = np.linspace(-1.0, 2.0, 5)
-    grids = expand(x, keys).reshape(2, 5, 5)
+    grids = expand_batch(x[None], keys)[0].reshape(2, 5, 5)
     for k, key in enumerate(keys):
         for i in range(5):
             for j in range(5):
@@ -77,13 +76,13 @@ def test_expand_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         expand_batch(np.zeros((2, 2, 2)), keys)
     with pytest.raises(ShapeError):
-        expand(np.zeros(1), keys)
+        expand_batch(np.zeros((1, 1)), keys)
     with pytest.raises(ShapeError):
-        reduce(np.zeros(577), keys)
+        reduce(np.zeros((1, 577)), keys)
     with pytest.raises(ShapeError):
         reduce(np.zeros((2, 10)), keys)  # 10 is not a square grid
     with pytest.raises(ConfigError):
-        reduce(np.zeros(576), [])
+        reduce(np.zeros((1, 576)), [])
 
 
 @settings(max_examples=60)
@@ -91,7 +90,7 @@ def test_expand_rejects_bad_shapes():
        count=st.integers(1, 4))
 def test_roundtrip_recovers_input(x, seed, count):
     keys = make_keys(seed, count)
-    back = reduce(expand(x, keys), keys)
+    back = reduce(expand_batch(x[None], keys), keys)[0]
     # relative for O(1)-and-larger entries, absolute floor below that:
     # the additive shift t(x_i) cancels in the inverse, leaving float64
     # noise that a pure relative bound near zero cannot absorb
@@ -103,7 +102,7 @@ def test_roundtrip_batch_matches_per_row():
     keys = make_keys(17, 3)
     X = rng.normal(size=(8, 24))
     batch = reduce(expand_batch(X, keys), keys)
-    rows = np.stack([reduce(expand(row, keys), keys) for row in X])
+    rows = np.stack([reduce(expand_batch(row[None], keys), keys)[0] for row in X])
     np.testing.assert_array_equal(batch, rows)
 
 
@@ -111,8 +110,8 @@ def test_reduce_averaging_beats_single_under_noise():
     rng = np.random.default_rng(4)
     keys = make_keys(21, 4)
     x = rng.normal(size=16)
-    e = expand(x, keys) + rng.normal(0.0, 1e-3, size=4 * 256)
-    err_mean = np.abs(reduce(e, keys) - x).mean()
+    e = expand_batch(x[None], keys)[0] + rng.normal(0.0, 1e-3, size=4 * 256)
+    err_mean = np.abs(reduce(e[None], keys)[0] - x).mean()
     # one estimate per coordinate: key 0, conditioner row 0 (row 1 for
     # column 0), no averaging
     key = min(keys, key=lambda k: k.key_id)
@@ -129,13 +128,13 @@ def test_reduce_backward_matches_central_differences():
     keys = make_keys(31, 2)
     L0 = 5
     x = rng.normal(size=L0)
-    e = expand(x, keys)
+    e = expand_batch(x[None], keys)[0]
     w = rng.normal(size=L0)
 
     def loss(vec):
-        return float(w @ reduce(vec, keys))
+        return float(w @ reduce(vec[None], keys)[0])
 
-    analytic = reduce_backward(w, e, keys)
+    analytic = reduce_backward(w[None], e[None], keys)[0]
     eps = 1e-6
     for idx in rng.choice(e.size, size=40, replace=False):
         probe = e.copy()
@@ -149,6 +148,6 @@ def test_reduce_backward_matches_central_differences():
 
 def test_reduce_backward_shape_guard():
     keys = make_keys(1, 1)
-    e = expand(np.arange(4.0), keys)
+    e = expand_batch(np.arange(4.0)[None], keys)
     with pytest.raises(ShapeError):
-        reduce_backward(np.zeros(5), e, keys)
+        reduce_backward(np.zeros((1, 5)), e, keys)

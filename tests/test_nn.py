@@ -14,8 +14,8 @@ from rirl.relation import RelationModel
 
 def small_mlp(seed=5):
     """6 -> 8 tanh -> 3 identity."""
-    return RelationModel(("x",), "y", window_n=1, latent_dim=3, hidden=8,
-                         rng=np.random.default_rng(seed), in_dim=6)
+    return RelationModel(("x",), "y", window_n=2, latent_dim=3, hidden=8,
+                         rng=np.random.default_rng(seed))
 
 
 def test_dense_forward_matches_hand_matmul():
@@ -24,8 +24,8 @@ def test_dense_forward_matches_hand_matmul():
     layer.b = np.array([0.1, -0.2])
     x = np.array([0.3, 0.7])
     want = np.tanh(layer.W @ x + layer.b)
-    np.testing.assert_allclose(layer.forward(x), want, rtol=0, atol=0)
-    # batch promotion keeps rows independent
+    np.testing.assert_allclose(layer.forward(x[None])[0], want, rtol=0, atol=0)
+    # rows of a batch stay independent
     batch = layer.forward(np.stack([x, 2 * x]))
     np.testing.assert_allclose(batch[0], want, rtol=0, atol=0)
 
@@ -33,13 +33,16 @@ def test_dense_forward_matches_hand_matmul():
 def test_dense_rejects_wrong_width_and_unknown_activation():
     layer = DenseLayer(3, 2, name="w")
     with pytest.raises(ShapeError):
-        layer.forward(np.zeros(4))
+        layer.forward(np.zeros((1, 4)))
     with pytest.raises(ShapeError):
         layer.forward(np.zeros((1, 2, 3)))
     with pytest.raises(ConfigError):
         DenseLayer(2, 2, activation="softmax")
     with pytest.raises(ShapeError):
-        DenseLayer(2, 2, name="fresh").backward(np.zeros(2))
+        DenseLayer(2, 2, name="fresh").backward(np.zeros((1, 2)))
+    layer.forward(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        layer.backward(np.zeros((1, 2)))
 
 
 def test_backward_accumulates_until_zeroed():
@@ -194,7 +197,7 @@ def test_activations_stay_finite_and_in_range(z):
     for name in ACTIVATIONS:
         layer = DenseLayer(z.size, z.size, name)
         layer.W = np.eye(z.size)
-        out = layer.forward(z, cache=False)
+        out = layer.forward(z[None], cache=False)
         assert np.all(np.isfinite(out))
         if name == "sigmoid":
             # saturates to exactly 0.0 / 1.0 in float64 for |z| beyond ~37;

@@ -56,7 +56,7 @@ def test_node_model_roundtrips_bit_exactly(tmp_path):
         assert ka == kb
     np.testing.assert_array_equal(back.scaler.mean, model.scaler.mean)
     np.testing.assert_array_equal(back.scaler.std, model.scaler.std)
-    feat = featurize(np.array([0.7, -1.1]), month=9, scaler=model.scaler)
+    feat = featurize(np.array([[0.7, -1.1]]), month=[9], scaler=model.scaler)
     np.testing.assert_array_equal(back.encode(feat, cache=False),
                                   model.encode(feat, cache=False))
 
@@ -220,6 +220,14 @@ def _set_array(doc, path, values):
         doc[last]["data"] = _b64(values)
 
 
+def _narrow_relation_l1(doc):
+    """Halve the relation's input width consistently: l1.in 12 -> 6 and
+    l1.W 6x12 -> 6x6, which no longer fits one cause of 4 steps of 3."""
+    l1 = doc["relation"]["l1"]
+    l1["in"] = 6
+    l1["W"].update(shape=[6, 6], data=_b64(np.zeros((6, 6))))
+
+
 ENC2 = ("model", "layers", "enc2")
 CORRUPTIONS = {
     "unknown activation": (
@@ -253,17 +261,28 @@ CORRUPTIONS = {
     "negative scaler std": (
         lambda d: _set_array(d, ("model", "scaler", "std"), [2.0, -1.5]),
         "G scaler std has a value <= 0"),
+    "narrowed relation l1": (
+        _narrow_relation_l1,
+        r"layer rel\[A->B\]\.l1 W has shape \(6, 6\), expected \(6, 12\)"),
 }
+# cases corrupting a saved micro-causal document rather than the golden
+MICRO_CASES = ("narrowed relation l1",)
 BOTH_SCHEMAS = ("nan weight", "inf bias", "inf scaler mean", "zero scaler std",
                 "negative scaler std", "unknown activation")
 
 
 @pytest.mark.parametrize("case,golden", [
-    *[pytest.param(c, GOLDEN_V2, id=f"v2-{c}") for c in CORRUPTIONS],
+    *[pytest.param(c, GOLDEN_V2, id=f"v2-{c}") for c in CORRUPTIONS
+      if c not in MICRO_CASES],
     *[pytest.param(c, GOLDEN, id=f"v1-{c}") for c in BOTH_SCHEMAS],
+    *[pytest.param(c, None, id=f"micro-{c}") for c in MICRO_CASES],
 ])
 def test_corrupted_documents_are_refused_at_load(tmp_path, case, golden):
     corrupt, message = CORRUPTIONS[case]
+    load = load_node_model
+    if golden is None:
+        golden, load = str(tmp_path / "micro.json"), load_micro_causal
+        save_micro_causal(build_micro_model(), golden)
     with open(golden) as fh:
         doc = json.load(fh)
     corrupt(doc)
@@ -271,7 +290,7 @@ def test_corrupted_documents_are_refused_at_load(tmp_path, case, golden):
     # json.dumps writes NaN and Infinity literals, which json.load reads back
     path.write_text(json.dumps(doc))
     with pytest.raises(PersistenceError, match=message):
-        load_node_model(str(path))
+        load(str(path))
 
 
 def test_micro_causal_load_requires_every_cause_model(tmp_path):
@@ -293,34 +312,34 @@ def test_golden_document_still_loads_and_predicts_the_same():
     forward pass drifts, these literals catch it."""
     model = load_node_model(GOLDEN)
     assert model.name == "G" and model.dim == 2
-    feat = featurize(np.array([1.0, 2.0]), month=6, scaler=model.scaler)
+    feat = featurize(np.array([[1.0, 2.0]]), month=[6], scaler=model.scaler)
     z = model.encode(feat, cache=False)
     np.testing.assert_allclose(
-        z, [0.6264175049865017, -0.0765460307980614, -0.0667232450589132],
+        z[0], [0.6264175049865017, -0.0765460307980614, -0.0667232450589132],
         rtol=0, atol=1e-15)
     feat_hat, mask_prob = model.decode_latent(z, cache=False)
     np.testing.assert_allclose(
-        mask_prob, [0.5220742355714473, 0.5252296425015668],
+        mask_prob[0], [0.5220742355714473, 0.5252296425015668],
         rtol=0, atol=1e-15)
     np.testing.assert_allclose(
-        feat_hat[:2], [-0.00896546405287588, 0.020904870970653966],
+        feat_hat[0, :2], [-0.00896546405287588, 0.020904870970653966],
         rtol=0, atol=1e-15)
 
 
 def test_golden_schema_2_document_predicts_the_schema_1_literals():
     model = load_node_model(GOLDEN_V2)
     assert model.name == "G" and model.dim == 2
-    feat = featurize(np.array([1.0, 2.0]), month=6, scaler=model.scaler)
+    feat = featurize(np.array([[1.0, 2.0]]), month=[6], scaler=model.scaler)
     z = model.encode(feat, cache=False)
     np.testing.assert_allclose(
-        z, [0.6264175049865017, -0.0765460307980614, -0.0667232450589132],
+        z[0], [0.6264175049865017, -0.0765460307980614, -0.0667232450589132],
         rtol=0, atol=1e-15)
     feat_hat, mask_prob = model.decode_latent(z, cache=False)
     np.testing.assert_allclose(
-        mask_prob, [0.5220742355714473, 0.5252296425015668],
+        mask_prob[0], [0.5220742355714473, 0.5252296425015668],
         rtol=0, atol=1e-15)
     np.testing.assert_allclose(
-        feat_hat[:2], [-0.00896546405287588, 0.020904870970653966],
+        feat_hat[0, :2], [-0.00896546405287588, 0.020904870970653966],
         rtol=0, atol=1e-15)
     for got, want in zip(model_arrays(model),
                          model_arrays(load_node_model(GOLDEN)), strict=True):

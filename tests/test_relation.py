@@ -52,12 +52,6 @@ def test_relation_model_shapes_and_grad_check():
     assert grad_check(rel, loss_fn, x) <= 1e-4
 
 
-def test_relation_model_accepts_explicit_input_width():
-    rel = RelationModel(("A", "B"), "C", window_n=2, latent_dim=3, hidden=8,
-                        rng=substream(2, "rel-wide"), in_dim=7)
-    assert rel.forward(np.zeros((4, 7)), cache=False).shape == (4, 3)
-
-
 # ---------------------------------------------------- bridge training
 
 def test_micro_causal_training_returns_a_complete_model(micro_model,
@@ -148,31 +142,30 @@ def test_frozen_relation_fits_a_linear_latent_map():
     W = rng.normal(size=(8, 4)) * 0.5
     x = rng.normal(size=(300, 8))
     v = x @ W
-    cfg = RunConfig(**dict(TINY_CONFIG, explore_epochs=40, lambda_kld=0.0,
-                           lr=3e-3))
+    cfg = RunConfig(**dict(TINY_CONFIG, window_n=2, explore_epochs=40,
+                           lambda_kld=0.0, lr=3e-3))
     rel = train_relation_frozen(x, v, cfg, substream(5, "frozen-rng"))
     v_hat = rel.forward(x, cache=False)
     assert mse_loss(v_hat, v) < 0.05 * mse_loss(np.zeros_like(v), v)
 
 
-def test_frozen_relation_is_deterministic(tiny_config_module):
+def test_frozen_relation_is_deterministic():
     rng = substream(6, "frozen-data")
     x = rng.normal(size=(120, 8))
     v = rng.normal(size=(120, 4))
-    one = train_relation_frozen(x, v, tiny_config_module,
-                                substream(6, "frozen-a"))
-    two = train_relation_frozen(x, v, tiny_config_module,
-                                substream(6, "frozen-a"))
+    cfg = RunConfig(**dict(TINY_CONFIG, window_n=2))
+    one = train_relation_frozen(x, v, cfg, substream(6, "frozen-a"))
+    two = train_relation_frozen(x, v, cfg, substream(6, "frozen-a"))
     np.testing.assert_array_equal(one.l1.W, two.l1.W)
     np.testing.assert_array_equal(one.l2.W, two.l2.W)
 
 
-def _reference_frozen_fit(x_train, v_train, config, rng):
+def _reference_frozen_fit(x_train, v_train, config, rng, causes):
     """The frozen fit written with the layers themselves: forward and
     backward through RelationModel, the MSE and KLD gradients, and Adam
     over the four parameter arrays."""
-    relation = RelationModel(("x",), "y", config.window_n, config.latent_dim,
-                             config.hidden_width, rng, in_dim=x_train.shape[1])
+    relation = RelationModel(causes, "y", config.window_n, config.latent_dim,
+                             config.hidden_width, rng)
     adam = Adam(relation.parameters(), lr=config.lr)
     lam_k = config.lambda_kld
     for _epoch in range(config.explore_epochs):
@@ -203,8 +196,11 @@ def test_frozen_fit_matches_the_layer_by_layer_fit_bit_for_bit(rows, causes,
     data_rng = substream(rows, "frozen-windows", causes)
     x = data_rng.normal(size=(rows, causes * cfg.window_n * cfg.latent_dim))
     v = data_rng.normal(size=(rows, cfg.latent_dim)) * 0.5 + 0.2
-    fused = train_relation_frozen(x, v, cfg, substream(8, "frozen-eq", rows))
-    reference = _reference_frozen_fit(x, v, cfg, substream(8, "frozen-eq", rows))
+    names = tuple(f"c{i}" for i in range(causes))
+    fused = train_relation_frozen(x, v, cfg, substream(8, "frozen-eq", rows),
+                                  causes=names)
+    reference = _reference_frozen_fit(x, v, cfg, substream(8, "frozen-eq", rows),
+                                      names)
     for layer in ("l1", "l2"):
         for arr in ("W", "b"):
             got = getattr(getattr(fused, layer), arr)
@@ -214,18 +210,19 @@ def test_frozen_fit_matches_the_layer_by_layer_fit_bit_for_bit(rows, causes,
                           reference.forward(x, cache=False))
 
 
-def test_frozen_fit_refuses_non_finite_gradients_and_losses(tiny_config_module):
+def test_frozen_fit_refuses_non_finite_gradients_and_losses():
     rng = substream(9, "frozen-bad")
     x = rng.normal(size=(80, 8))
     v = rng.normal(size=(80, 4))
+    cfg = RunConfig(**dict(TINY_CONFIG, window_n=2))
     # an infinite input saturates tanh: the loss stays finite, but the
     # first layer's weight gradient is 0 * inf
     x_inf = x.copy()
     x_inf[3, 2] = np.inf
     with np.errstate(invalid="ignore"), \
             pytest.raises(TrainingError, match="non-finite gradient"):
-        train_relation_frozen(x_inf, v, tiny_config_module, substream(9, "a"))
+        train_relation_frozen(x_inf, v, cfg, substream(9, "a"))
     v_nan = v.copy()
     v_nan[5, 1] = np.nan
     with pytest.raises(TrainingError, match="diverged"):
-        train_relation_frozen(x, v_nan, tiny_config_module, substream(9, "b"))
+        train_relation_frozen(x, v_nan, cfg, substream(9, "b"))
